@@ -5,6 +5,14 @@ training inputs.  Fitting factors the regularized Gram matrix once per output
 (Cholesky); afterwards mean prediction is O(m) and variance prediction O(m^2)
 per query.  Hyperparameter selection maximizes the log marginal likelihood by
 gradient ascent in log-parameter space.
+
+The likelihood is computed in two steps.  The value step builds the kernel
+from a precomputed squared-distance matrix, factors it and solves for alpha;
+the gradient step turns that factor into K^-1 in place (LAPACK potri) and
+forms the trace terms of tr((alpha alpha' - K^-1) dK/dtheta) / 2.  The search
+computes the distances once per call, evaluates each start in full, evaluates
+line-search trials by value only and takes the gradient only at the steps it
+accepts.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotri
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -231,12 +239,20 @@ def gram_matrix(inputs: np.ndarray, hp: Hyperparameters) -> np.ndarray:
     return k
 
 
-def _cholesky_lower(k: np.ndarray, output_index: int) -> np.ndarray:
-    """Lower Cholesky factor; raises CholeskyError with the failing pivot."""
-    c, info = dpotrf(k, lower=1, clean=1, overwrite_a=0)
+def _cholesky_lower(k: np.ndarray, output_index: int,
+                    overwrite: bool = False) -> np.ndarray:
+    """Lower Cholesky factor; raises CholeskyError with the failing pivot.
+
+    With `overwrite`, the symmetric C-ordered `k` is factored in its own
+    storage (k is destroyed) instead of in a copy.
+    """
+    diag = k.diagonal().copy()
+    # k.T is the same symmetric matrix in Fortran order, so LAPACK needs no copy
+    c, info = dpotrf(k.T if overwrite else k, lower=1, clean=1,
+                     overwrite_a=int(overwrite))
     if info > 0:
         j = info - 1  # first leading minor that is not positive definite
-        pivot = k[j, j] - float(np.sum(c[j, :j] ** 2))
+        pivot = diag[j] - float(np.sum(c[j, :j] ** 2))
         raise CholeskyError(output_index, pivot)
     if info < 0:
         raise GPError(f"illegal value in Cholesky argument {-info}")
@@ -375,43 +391,89 @@ def predict_var(gp: MultiGP, x: np.ndarray) -> np.ndarray:
     return gp.predict_var(x)
 
 
-def log_marginal_likelihood(
-    train: TrainingSet, hp: Hyperparameters, output_index: int = 0
-) -> tuple[float, np.ndarray]:
-    """Marginal log-likelihood of one output column and its gradient.
+@dataclass
+class _LmlState:
+    """What the gradient step needs from an evaluated point."""
 
-    Returns (value, gradient) with the gradient taken with respect to
-    (log lambda, log sigma_f, log sigma_n).
+    hp: Hyperparameters
+    k_se: np.ndarray    # noise-free kernel matrix, (m, m)
+    factor: np.ndarray  # lower Cholesky factor of k_se + sigma_n^2 I, Fortran order
+    alpha: np.ndarray   # (k_se + sigma_n^2 I)^-1 y
+
+
+def _lml_value(d2: np.ndarray, y: np.ndarray, hp: Hyperparameters,
+               output_index: int) -> tuple[float, _LmlState]:
+    """Marginal log-likelihood of targets y from self squared distances d2.
+
+    Returns the value and the state the gradient step consumes.  Raises
+    CholeskyError when the regularized Gram matrix is not positive definite.
     """
-    if not 0 <= output_index < train.output_dim:
-        raise ValueError(f"output_index {output_index} outside [0, {train.output_dim})")
-    y = train.outputs[:, output_index]
-    m = train.size
-    pts = train.inputs.T
-    d2 = _self_sq_dists(pts)
-    lam2 = hp.length_scale**2
-    k_se = hp.signal_variance * np.exp(-d2 / (2.0 * lam2))
+    k_se = np.divide(d2, -2.0 * hp.length_scale**2)
+    np.exp(k_se, out=k_se)
+    k_se *= hp.signal_variance
     k = k_se.copy()
     k[np.diag_indices_from(k)] += hp.noise_variance
-    low = _cholesky_lower(k, output_index)
+    low = _cholesky_lower(k, output_index, overwrite=True)
     alpha = cho_solve((low, True), y)
     value = (
         -0.5 * float(y @ alpha)
         - float(np.sum(np.log(np.diag(low))))
-        - 0.5 * m * _LOG_2PI
+        - 0.5 * y.shape[0] * _LOG_2PI
     )
-    k_inv = cho_solve((low, True), np.eye(m))
-    a = np.outer(alpha, alpha) - k_inv
-    grad = np.array([
-        0.5 * float(np.sum(a * (k_se * d2))) / lam2,
-        float(np.sum(a * k_se)),
-        hp.noise_variance * float(np.trace(a)),
+    return value, _LmlState(hp, k_se, low, alpha)
+
+
+def _lml_gradient(d2: np.ndarray, state: _LmlState) -> np.ndarray:
+    """Gradient of the value step's likelihood w.r.t. (log lambda, log sigma_f,
+    log sigma_n): tr((alpha alpha' - K^-1) dK/dtheta) / 2.
+
+    Consumes `state`: K^-1 overwrites the factor and k_se is scaled by d2.
+    """
+    hp, k_se, alpha = state.hp, state.k_se, state.alpha
+    k_inv, info = dpotri(state.factor, lower=1, overwrite_c=1)
+    if info != 0:
+        raise GPError(f"inverting the Cholesky factor failed (info {info})")
+    # potri fills the lower triangle and leaves the cleaned upper one zero, so
+    # for symmetric S, sum(K^-1 * S) = 2 <tril K^-1, S> - <diag K^-1, diag S>;
+    # k_inv.T is C-ordered like S, which keeps vdot free of copies
+    k_inv_diag = k_inv.diagonal()
+
+    def trace_with(s: np.ndarray) -> float:
+        return (2.0 * float(np.vdot(k_inv.T, s))
+                - float(k_inv_diag @ s.diagonal()))
+
+    d_sf = float(alpha @ (k_se @ alpha)) - trace_with(k_se)
+    k_se *= d2  # the length-scale derivative's matrix, up to 1 / lambda^2
+    d_lam = float(alpha @ (k_se @ alpha)) - trace_with(k_se)
+    d_sn = float(alpha @ alpha) - float(np.sum(k_inv_diag))
+    return np.array([
+        0.5 * d_lam / hp.length_scale**2,
+        d_sf,
+        hp.noise_variance * d_sn,
     ])
-    return value, grad
+
+
+def log_marginal_likelihood(
+    train: TrainingSet, hp: Hyperparameters, output_index: int = 0,
+    *, sq_dists: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
+    """Marginal log-likelihood of one output column and its gradient.
+
+    Returns (value, gradient) with the gradient taken with respect to
+    (log lambda, log sigma_f, log sigma_n).  `sq_dists`, the training
+    inputs' self squared distances, spares recomputing them.
+    """
+    if not 0 <= output_index < train.output_dim:
+        raise ValueError(f"output_index {output_index} outside [0, {train.output_dim})")
+    y = train.outputs[:, output_index]
+    d2 = _self_sq_dists(train.inputs.T) if sq_dists is None else sq_dists
+    value, state = _lml_value(d2, y, hp, output_index)
+    return value, _lml_gradient(d2, state)
 
 
 def _gradient_ascent(
     train: TrainingSet,
+    d2: np.ndarray,
     output_index: int,
     theta0: np.ndarray,
     budget: int,
@@ -419,20 +481,23 @@ def _gradient_ascent(
 ) -> tuple[np.ndarray, float, list[float]]:
     """Backtracking gradient ascent in log-parameter space.
 
-    Returns (theta, value, accepted_values).  The accepted-value sequence is
-    non-decreasing by construction: a step is taken only on strict
-    improvement, and Cholesky failures or out-of-box candidates count as
-    rejected steps.
+    The start is evaluated in full by log_marginal_likelihood.  Line-search
+    trials are evaluated by value only; the gradient is computed once per
+    accepted step, from that point's own factorization.  Returns (theta,
+    value, accepted_values).  The accepted-value sequence is non-decreasing
+    by construction: a step is taken only on strict improvement, and
+    Cholesky failures or out-of-box candidates count as rejected steps.
     """
     log_sn_floor = 0.5 * math.log(noise_floor)
 
-    def evaluate(theta):
-        return log_marginal_likelihood(
-            train, Hyperparameters.from_log_array(theta), output_index
-        )
+    def value_at(theta):
+        return _lml_value(d2, y, Hyperparameters.from_log_array(theta), output_index)
 
     theta = np.asarray(theta0, dtype=float)
-    value, grad = evaluate(theta)
+    value, grad = log_marginal_likelihood(
+        train, Hyperparameters.from_log_array(theta), output_index, sq_dists=d2
+    )
+    y = train.outputs[:, output_index]  # the index is valid once that returns
     history = [value]
     step = 0.1
     for _ in range(budget):
@@ -440,7 +505,9 @@ def _gradient_ascent(
         if gnorm < 1e-9:
             break
         direction = grad / gnorm
-        accepted = False
+        # each rejected candidate's arrays are dropped before the next trial
+        # is factored: one point's arrays at a time
+        state = None
         trial = step
         for _ in range(30):
             cand = theta + trial * direction
@@ -448,17 +515,18 @@ def _gradient_ascent(
                 trial *= 0.5
                 continue
             try:
-                cval, cgrad = evaluate(cand)
+                cval, state = value_at(cand)
             except CholeskyError:
                 trial *= 0.5
                 continue
             if math.isfinite(cval) and cval > value:
-                accepted = True
                 break
+            state = None
             trial *= 0.5
-        if not accepted:
+        if state is None:
             break
-        theta, value, grad = cand, cval, cgrad
+        theta, value = cand, cval
+        grad = _lml_gradient(d2, state)
         history.append(value)
         step = min(trial * 2.0, 2.0)
     return theta, value, history
@@ -491,6 +559,7 @@ def optimize_hyperparameters(
     if theta0[2] < 0.5 * math.log(noise_floor):
         theta0 = theta0.copy()
         theta0[2] = 0.5 * math.log(noise_floor)
+    d2 = _self_sq_dists(train.inputs.T)
     best_theta = None
     best_value = -math.inf
     first_error = None
@@ -503,7 +572,7 @@ def optimize_hyperparameters(
             start[2] = max(start[2], 0.5 * math.log(noise_floor))
         try:
             theta, value, _ = _gradient_ascent(
-                train, output_index, start, budget, noise_floor
+                train, d2, output_index, start, budget, noise_floor
             )
         except CholeskyError as err:
             if first_error is None:

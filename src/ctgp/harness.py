@@ -69,9 +69,9 @@ class TrainOutputs:
     dropped: int
 
 
-def train_gp(scenario: Scenario, seed_override: int | None = None
-             ) -> tuple[TrainingSet, list[Hyperparameters], dict]:
-    """Generate the residual data set and optimize hyperparameters per output."""
+def generate_training_data(scenario: Scenario, seed_override: int | None = None
+                           ) -> tuple[TrainingSet, dict]:
+    """Generate the residual data set and its provenance record."""
     plan = _seeded_plan(scenario.training_plan, seed_override)
     if plan is None:
         raise ConfigError("scenario has no training section")
@@ -81,14 +81,13 @@ def train_gp(scenario: Scenario, seed_override: int | None = None
         exciter = PDController(scenario.exciter_gains)
         train, report = generate_closed_loop(plan, scenario.plant, scenario.estimate,
                                              exciter, scenario.reference)
-    hypers = optimize_training_set(train, scenario)
     meta = {
         "plan": report.plan,
         "total": report.total,
         "dropped": report.dropped,
         "dropped_indices": report.dropped_indices,
     }
-    return train, hypers, meta
+    return train, meta
 
 
 def optimize_training_set(train: TrainingSet, scenario: Scenario) -> list[Hyperparameters]:
@@ -102,7 +101,8 @@ def optimize_training_set(train: TrainingSet, scenario: Scenario) -> list[Hyperp
 
 def run_train(scenario: Scenario, out_dir, seed_override: int | None = None) -> TrainOutputs:
     os.makedirs(out_dir, exist_ok=True)
-    train, hypers, meta = train_gp(scenario, seed_override)
+    train, meta = generate_training_data(scenario, seed_override)
+    hypers = optimize_training_set(train, scenario)
     manifest = manifest_lines(
         scenario,
         training_seed=meta["plan"]["seed"],
@@ -349,7 +349,7 @@ def run_learning_curve(scenario: Scenario, sizes, out_dir,
     if scenario.controller_kind != "ct-gp":
         raise ConfigError("learning-curve requires a ct-gp controller scenario")
     os.makedirs(out_dir, exist_ok=True)
-    train, _, meta = train_gp(scenario, seed_override)
+    train, meta = generate_training_data(scenario, seed_override)
     if sizes[-1] > train.size:
         raise ConfigError(
             f"requested size {sizes[-1]} exceeds the {train.size} available points"

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import ctgp.gp as gp_module
 from ctgp.gp import (CholeskyError, FittedGP, Hyperparameters, MultiGP,
                      TrainingSet, fit, gram_matrix, kernel_eval,
                      load_hyperparameters, log_marginal_likelihood,
@@ -268,6 +269,54 @@ def test_lml_data_fit_scales_quadratically():
     assert v2 - v1 == pytest.approx(3.0 * data_fit, abs=1e-10)
 
 
+def _oracle_lml(train, hp, output_index):
+    """-y'K^-1 y / 2 - log det K / 2 - m log(2 pi) / 2 and its gradient
+    tr((alpha alpha' - K^-1) dK/dtheta) / 2, from a dense explicit inverse."""
+    x = train.inputs.T
+    y = train.outputs[:, output_index]
+    d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+    lam2 = hp.length_scale**2
+    k_se = hp.signal_variance * np.exp(-d2 / (2.0 * lam2))
+    k = k_se + hp.noise_variance * np.eye(train.size)
+    k_inv = np.linalg.inv(k)
+    alpha = k_inv @ y
+    value = (-0.5 * y @ alpha - 0.5 * np.linalg.slogdet(k)[1]
+             - 0.5 * train.size * math.log(2.0 * math.pi))
+    a = np.outer(alpha, alpha) - k_inv
+    return value, np.array([
+        0.5 * np.sum(a * k_se * d2) / lam2,
+        np.sum(a * k_se),
+        hp.noise_variance * np.trace(a),
+    ])
+
+
+def test_lml_value_and_gradient_match_dense_inverse_oracle():
+    # the random family of acceptance criterion 1
+    rng = np.random.default_rng(0)
+    worst_value = worst_grad = 0.0
+    for _ in range(100):
+        train, hypers = _random_instance(rng)
+        for i, hp in enumerate(hypers):
+            value, grad = log_marginal_likelihood(train, hp, i)
+            oracle_value, oracle_grad = _oracle_lml(train, hp, i)
+            worst_value = max(worst_value, abs(value - oracle_value)
+                              / max(1.0, abs(oracle_value)))
+            worst_grad = max(worst_grad, float(np.max(
+                np.abs(grad - oracle_grad) / np.maximum(1.0, np.abs(oracle_grad)))))
+    assert worst_value < 1e-10
+    assert worst_grad < 1e-10
+
+
+def test_lml_and_search_reject_output_index_out_of_range():
+    train = TrainingSet(np.array([[0.0, 1.0]]), np.array([[1.0], [2.0]]))
+    hp = Hyperparameters(1.0, 1.0, 0.1)
+    for index in (-1, 1):
+        with pytest.raises(ValueError):
+            log_marginal_likelihood(train, hp, index)
+        with pytest.raises(ValueError):
+            optimize_hyperparameters(train, hp, budget=3, output_index=index)
+
+
 def test_lml_rejects_indefinite_gram():
     train = TrainingSet(np.array([[0.0, 0.0]]), np.array([[1.0], [1.0]]))
     with pytest.raises(CholeskyError):
@@ -331,6 +380,81 @@ def test_optimizer_all_restarts_failing_raises():
         optimize_hyperparameters(train, Hyperparameters(1.0, 1e30, 1e-8),
                                  budget=5, restarts=3)
     assert excinfo.value.output_index == 0
+
+
+def test_search_shares_distances_and_takes_gradients_only_at_accepted_points(
+        monkeypatch):
+    rng = np.random.default_rng(13)
+    train, hypers = _random_instance(rng, m_max=30)
+    dist_calls = []
+    full_calls = []  # the public likelihood: one per start
+    evaluated = []   # (value, state) of every value step that returned
+    graded = []      # values of the points the gradient step ran at
+    histories = []
+    sq_dists = gp_module._self_sq_dists
+    full = gp_module.log_marginal_likelihood
+    value_step = gp_module._lml_value
+    gradient_step = gp_module._lml_gradient
+    ascent = gp_module._gradient_ascent
+
+    def count_dists(a):
+        dist_calls.append(a.shape)
+        return sq_dists(a)
+
+    def count_full(*args, **kwargs):
+        full_calls.append(args[1])
+        return full(*args, **kwargs)
+
+    def record_value(*args):
+        value, state = value_step(*args)
+        evaluated.append((value, state))
+        return value, state
+
+    def record_gradient(d2, state):
+        assert state is evaluated[-1][1]  # the point evaluated last
+        graded.append(evaluated[-1][0])
+        return gradient_step(d2, state)
+
+    def record_ascent(*args):
+        out = ascent(*args)
+        histories.append(out[2])
+        return out
+
+    monkeypatch.setattr(gp_module, "_self_sq_dists", count_dists)
+    monkeypatch.setattr(gp_module, "log_marginal_likelihood", count_full)
+    monkeypatch.setattr(gp_module, "_lml_value", record_value)
+    monkeypatch.setattr(gp_module, "_lml_gradient", record_gradient)
+    monkeypatch.setattr(gp_module, "_gradient_ascent", record_ascent)
+    optimize_hyperparameters(train, hypers[0], budget=15, restarts=3)
+    assert len(dist_calls) == 1
+    assert len(histories) == 3 and len(full_calls) == 3
+    # one gradient per successful start and per accepted step, in order
+    assert graded == [v for history in histories for v in history]
+    assert len(evaluated) > len(graded)  # some trials were rejected
+
+
+def test_search_treats_a_failed_trial_factorization_as_a_rejected_step(
+        monkeypatch):
+    rng = np.random.default_rng(14)
+    train, hypers = _random_instance(rng, m_max=20)
+    thetas = []
+    value_step = gp_module._lml_value
+
+    def fail_first_trial(d2, y, hp, output_index):
+        thetas.append(hp.to_log_array())
+        if len(thetas) == 2:
+            raise CholeskyError(output_index, -1.0)
+        return value_step(d2, y, hp, output_index)
+
+    monkeypatch.setattr(gp_module, "_lml_value", fail_first_trial)
+    d2 = gp_module._self_sq_dists(train.inputs.T)
+    _, _, history = gp_module._gradient_ascent(
+        train, d2, 0, hypers[0].to_log_array(), 10, 1e-8)
+    # the next trial halves the step along the same direction
+    np.testing.assert_allclose(thetas[2] - thetas[0],
+                               0.5 * (thetas[1] - thetas[0]), rtol=1e-9)
+    assert len(history) > 1
+    assert all(b > a for a, b in zip(history, history[1:]))
 
 
 # ---------------------------------------------------------------------------
