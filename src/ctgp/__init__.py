@@ -11,8 +11,7 @@ from .dynamics import (AeroTable, JointState, ManipulatorModel,
                        forward_dynamics)
 from .gp import (CholeskyError, FittedGP, GPError, Hyperparameters, MultiGP,
                  Prediction, TrainingSet, fit, gram_matrix, kernel_eval,
-                 log_marginal_likelihood, optimize_hyperparameters,
-                 predict_mean, predict_var)
+                 log_marginal_likelihood, optimize_hyperparameters)
 from .sim import (DivergenceError, EnsembleStats, ReferenceTrajectory,
                   SimConfig, SimResult, lyapunov_trace, reference_sinusoid,
                   run_ensemble, simulate)
@@ -30,7 +29,6 @@ __all__ = [
     "ct_gp_control", "estimate_error_bound", "fit", "forward_dynamics",
     "generate_closed_loop", "generate_open_loop", "gram_matrix",
     "kernel_eval", "log_marginal_likelihood", "lyapunov_trace",
-    "optimize_hyperparameters", "pd_control", "predict_mean", "predict_var",
-    "reference_sinusoid", "residual_torque", "run_ensemble", "simulate",
-    "verify_conditions",
+    "optimize_hyperparameters", "pd_control", "reference_sinusoid",
+    "residual_torque", "run_ensemble", "simulate", "verify_conditions",
 ]

@@ -127,7 +127,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as err:
+    except OSError as err:
         print(f"file error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as err:

@@ -145,6 +145,9 @@ def _build_plant(cfg: dict) -> ManipulatorModel:
                             "air_density", "chord", "span", "apparent_wind",
                             "aero_table"}, {"kind"}, where)
         table_path = cfg.get("aero_table")
+        if table_path is not None and not isinstance(table_path, str):
+            # an int would open a file descriptor, and closing it could close stderr
+            raise ConfigError(f"{where}.aero_table: expected a file path, got {table_path!r}")
         table = AeroTable.load_csv(table_path) if table_path else AeroTable.naca0015()
         apparent = cfg.get("apparent_wind", False)
         if not isinstance(apparent, bool):

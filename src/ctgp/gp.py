@@ -2,9 +2,14 @@
 
 Each output dimension is an independent zero-mean GP over a shared set of
 training inputs.  Fitting factors the regularized Gram matrix once per output
-(Cholesky); afterwards mean prediction is O(m) and variance prediction O(m^2)
-per query.  Hyperparameter selection maximizes the log marginal likelihood by
-gradient ascent in log-parameter space.
+(Cholesky), solves for the mean weights and then inverts the factor in its own
+storage (LAPACK trtri), so a fitted output keeps L^-1 and the weights.  A
+prediction computes the query-to-training squared distances once for all
+outputs and builds each output's cross kernel k* once; the mean is k* alpha,
+O(m) per query, and the variance sigma_f^2 - ||L^-1 k*'||^2, O(m^2) per query
+through one BLAS triangular multiply (trmm).  Hyperparameter selection
+maximizes the log marginal likelihood by gradient ascent in log-parameter
+space.
 
 The likelihood is computed in two steps.  The value step builds the kernel
 from a precomputed squared-distance matrix, factors it and solves for alpha;
@@ -22,8 +27,9 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg import cho_solve
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dpotrf, dpotri, dtrtri
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -259,39 +265,61 @@ def _cholesky_lower(k: np.ndarray, output_index: int,
     return c
 
 
-class FittedGP:
-    """Single-output posterior: stored Cholesky factor and weight vector."""
+def _invert_factor(low: np.ndarray, output_index: int) -> np.ndarray:
+    """L^-1 in the storage of the lower Cholesky factor `low` (LAPACK trtri).
 
-    def __init__(self, hyperparameters, training_inputs, cholesky_factor, weights):
+    Raises GPError naming the output when the inverse is singular or not
+    finite; a predict call then trusts the stored inverse without checking it.
+    """
+    inv, info = dtrtri(low, lower=1, overwrite_c=1)
+    if info != 0 or not np.all(np.isfinite(inv)):
+        raise GPError(
+            f"inverting the Cholesky factor failed for output {output_index} "
+            f"(trtri info {info}); the inverse factor is singular or not finite"
+        )
+    return inv
+
+
+class FittedGP:
+    """Single-output posterior: the inverse Cholesky factor and the weights.
+
+    `inverse_factor` is L^-1, where L is the lower Cholesky factor of the
+    regularized Gram matrix K + sigma_n^2 I (lower triangular, Fortran order;
+    None when m = 0), and `weights` is alpha = (K + sigma_n^2 I)^-1 y.  The
+    latent variance at cross-kernel rows k* is sigma_f^2 - ||L^-1 k*'||^2,
+    the explicit-inverse form of Rasmussen & Williams (2006), Alg. 2.1.
+    """
+
+    def __init__(self, hyperparameters, training_inputs, inverse_factor, weights):
         self.hyperparameters = hyperparameters
         self.training_inputs = training_inputs  # (d, m)
-        self.cholesky_factor = cholesky_factor  # (m, m) lower, None when m = 0
+        self.inverse_factor = inverse_factor    # (m, m) lower, None when m = 0
         self.weights = weights                  # (m,)
 
     @property
     def size(self) -> int:
         return self.training_inputs.shape[1]
 
-    def _cross(self, queries: np.ndarray) -> np.ndarray:
-        d2 = _sq_dists(queries, self.training_inputs.T)
+    def cross_kernel(self, d2: np.ndarray) -> np.ndarray:
+        """Kernel rows k* (b, m) from query-to-training squared distances d2."""
         hp = self.hyperparameters
-        return hp.signal_variance * np.exp(-d2 / (2.0 * hp.length_scale**2))
+        ks = np.divide(d2, -2.0 * hp.length_scale**2)
+        np.exp(ks, out=ks)
+        ks *= hp.signal_variance
+        return ks
 
-    def mean(self, queries: np.ndarray) -> np.ndarray:
-        """Posterior mean at (b, d) query rows -> (b,)."""
-        if self.size == 0:
-            return np.zeros(queries.shape[0])
-        return self._cross(queries) @ self.weights
+    def variance(self, ks: np.ndarray) -> np.ndarray:
+        """Posterior variance (noise-free, latent-function) from k* (b, m) -> (b,).
 
-    def variance(self, queries: np.ndarray) -> np.ndarray:
-        """Posterior variance (noise-free, latent-function) at (b, d) rows -> (b,)."""
+        Overwrites `ks` with L^-1 k*'.
+        """
         hp = self.hyperparameters
         if self.size == 0:
             # empty training set: the posterior is pinned to the zero
             # correction with zero uncertainty by convention
-            return np.zeros(queries.shape[0])
-        ks = self._cross(queries)
-        v = solve_triangular(self.cholesky_factor, ks.T, lower=True)
+            return np.zeros(ks.shape[0])
+        # ks.T is Fortran-ordered, so trmm works in the storage of ks
+        v = dtrmm(1.0, self.inverse_factor, ks.T, lower=1, overwrite_b=1)
         var = hp.signal_variance - np.einsum("ij,ij->j", v, v)
         floor = -1e-12 * max(1.0, hp.signal_variance)
         if np.any(var < floor):
@@ -340,22 +368,34 @@ class MultiGP:
             raise ValueError("query contains non-finite values")
         return q, single
 
+    def _cross_kernels(self, q: np.ndarray) -> list[np.ndarray]:
+        """Each output's k* (b, m), all from one query-to-training distance matrix."""
+        d2 = _sq_dists(q, self.components[0].training_inputs.T)
+        return [c.cross_kernel(d2) for c in self.components]
+
     def predict_mean(self, x: np.ndarray) -> np.ndarray:
         """Mean at a (d,) query -> (n,), or (b, d) queries -> (b, n)."""
         q, single = self._check_query(x)
-        out = np.stack([c.mean(q) for c in self.components], axis=-1)
+        out = np.stack([ks @ c.weights for c, ks in
+                        zip(self.components, self._cross_kernels(q))], axis=-1)
         return out[0] if single else out
 
     def predict_var(self, x: np.ndarray) -> np.ndarray:
         """Latent variance at a (d,) query -> (n,), or (b, d) -> (b, n)."""
         q, single = self._check_query(x)
-        out = np.stack([c.variance(q) for c in self.components], axis=-1)
+        out = np.stack([c.variance(ks) for c, ks in
+                        zip(self.components, self._cross_kernels(q))], axis=-1)
         return out[0] if single else out
 
     def predict(self, x: np.ndarray) -> Prediction:
+        """Mean and standard deviation, each output's k* built once for both."""
         q, single = self._check_query(x)
-        mean = np.stack([c.mean(q) for c in self.components], axis=-1)
-        std = np.sqrt(np.stack([c.variance(q) for c in self.components], axis=-1))
+        means, variances = [], []
+        for c, ks in zip(self.components, self._cross_kernels(q)):
+            means.append(ks @ c.weights)  # before variance() overwrites ks
+            variances.append(c.variance(ks))
+        mean = np.stack(means, axis=-1)
+        std = np.sqrt(np.stack(variances, axis=-1))
         if single:
             return Prediction(mean=mean[0], std=std[0])
         return Prediction(mean=mean, std=std)
@@ -364,8 +404,11 @@ class MultiGP:
 def fit(train: TrainingSet, hypers: list[Hyperparameters]) -> MultiGP:
     """Fit one GP per output column; Cholesky once per output.
 
-    Raises CholeskyError naming the offending output and the failing pivot
-    when the regularized Gram matrix is not positive definite.
+    Each output stores the weights alpha, solved from the Cholesky factor L,
+    and L^-1, which overwrites L.  Raises CholeskyError naming the offending
+    output and the failing pivot when the regularized Gram matrix is not
+    positive definite, and GPError naming the output when L^-1 is singular or
+    not finite.
     """
     if len(hypers) != train.output_dim:
         raise ValueError(
@@ -379,16 +422,8 @@ def fit(train: TrainingSet, hypers: list[Hyperparameters]) -> MultiGP:
         k = gram_matrix(train.inputs, hp)
         low = _cholesky_lower(k, i)
         alpha = cho_solve((low, True), train.outputs[:, i])
-        comps.append(FittedGP(hp, train.inputs, low, alpha))
+        comps.append(FittedGP(hp, train.inputs, _invert_factor(low, i), alpha))
     return MultiGP(comps, train.input_dim)
-
-
-def predict_mean(gp: MultiGP, x: np.ndarray) -> np.ndarray:
-    return gp.predict_mean(x)
-
-
-def predict_var(gp: MultiGP, x: np.ndarray) -> np.ndarray:
-    return gp.predict_var(x)
 
 
 @dataclass

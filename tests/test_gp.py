@@ -11,13 +11,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 import ctgp.gp as gp_module
-from ctgp.gp import (CholeskyError, FittedGP, Hyperparameters, MultiGP,
+from ctgp.gp import (CholeskyError, FittedGP, GPError, Hyperparameters, MultiGP,
                      TrainingSet, fit, gram_matrix, kernel_eval,
                      load_hyperparameters, log_marginal_likelihood,
-                     optimize_hyperparameters, predict_mean, predict_var,
-                     save_hyperparameters)
+                     optimize_hyperparameters, save_hyperparameters)
 
 
 # Random-instance distribution used by the oracle checks.  sigma_n^2 is kept
@@ -142,9 +142,32 @@ def test_fit_cholesky_reconstruction():
     train = TrainingSet(rng.normal(size=(2, 3)), rng.normal(size=(3, 1)))
     hp = Hyperparameters(1.0, 2.0, 0.1)
     gp = fit(train, [hp])
-    lower = gp.components[0].cholesky_factor
+    lower = np.linalg.inv(gp.components[0].inverse_factor)
     k = gram_matrix(train.inputs, hp)
     assert np.max(np.abs(lower @ lower.T - k)) < 1e-10
+
+
+@pytest.mark.parametrize("broken", ["singular", "non-finite"])
+def test_fit_rejects_a_bad_inverse_factor(monkeypatch, broken):
+    rng = np.random.default_rng(2)
+    train = TrainingSet(rng.normal(size=(2, 3)), rng.normal(size=(3, 2)))
+    hypers = [Hyperparameters(1.0, 2.0, 0.1)] * 2
+    trtri = gp_module.dtrtri
+    calls = []
+
+    def break_second_output(c, **kwargs):
+        inv, info = trtri(c, **kwargs)
+        calls.append(info)
+        if len(calls) == 2:
+            if broken == "singular":
+                info = 2
+            else:
+                inv[1, 0] = np.nan
+        return inv, info
+
+    monkeypatch.setattr(gp_module, "dtrtri", break_second_output)
+    with pytest.raises(GPError, match="output 1"):
+        fit(train, hypers)
 
 
 def test_predict_interpolates_training_points():
@@ -211,14 +234,91 @@ def test_empty_gp_predicts_prior():
     assert gp.size == 0
 
 
-def test_module_level_predict_wrappers():
+def test_predict_methods_single_and_batch_shapes():
     train = TrainingSet(np.array([[0.0, 1.0]]), np.array([[1.0], [2.0]]))
     gp = fit(train, [Hyperparameters(1.0, 1.0, 0.1)])
-    single = predict_mean(gp, np.array([0.5]))
+    single = gp.predict_mean(np.array([0.5]))
     assert single.shape == (1,)
-    assert predict_var(gp, np.array([0.5])).shape == (1,)
-    batch = predict_mean(gp, np.array([[0.5], [0.7]]))
+    assert gp.predict_var(np.array([0.5])).shape == (1,)
+    batch = gp.predict_mean(np.array([[0.5], [0.7]]))
     assert batch.shape == (2, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_predict_computes_query_distances_once_per_call(monkeypatch, n):
+    rng = np.random.default_rng(15)
+    train = TrainingSet(rng.normal(size=(3, 20)), rng.normal(size=(20, n)))
+    gp = fit(train, [Hyperparameters(1.0, 1.5, 0.05)] * n)
+    calls = []
+    sq_dists = gp_module._sq_dists
+
+    def count(a, b):
+        calls.append(a.shape)
+        return sq_dists(a, b)
+
+    monkeypatch.setattr(gp_module, "_sq_dists", count)
+    for method in (gp.predict, gp.predict_mean, gp.predict_var):
+        for x in (rng.normal(size=3), rng.normal(size=(7, 3))):
+            calls.clear()
+            method(x)
+            assert len(calls) == 1
+
+
+@pytest.mark.parametrize("batch", [1, 100])
+def test_predict_mean_matches_predict_bitwise(batch):
+    # RK4 takes its first stage from predict and the other three from
+    # predict_mean, so the two must agree to the last bit
+    rng = np.random.default_rng(16)
+    train = TrainingSet(rng.normal(size=(4, 60)), rng.normal(size=(60, 2)))
+    gp = fit(train, [Hyperparameters(0.9, 2.0, 0.01),
+                     Hyperparameters(1.4, 0.5, 0.1)])
+    x = rng.normal(size=(batch, 4))
+    assert np.array_equal(gp.predict(x).mean, gp.predict_mean(x))
+    assert np.array_equal(gp.predict(x[0]).mean, gp.predict_mean(x[0]))
+    assert np.array_equal(gp.predict(x).std, np.sqrt(gp.predict_var(x)))
+
+
+def _triangular_solve_variance(gp, queries):
+    """sigma_f^2 - ||L^-1 k*'||^2 with L^-1 k*' from a triangular solve."""
+    out = np.zeros((queries.shape[0], gp.output_dim))
+    for i, c in enumerate(gp.components):
+        hp = c.hyperparameters
+        low = np.linalg.cholesky(gram_matrix(c.training_inputs, hp))
+        x = c.training_inputs.T
+        d2 = np.sum((queries[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+        ks = hp.signal_variance * np.exp(-d2 / (2.0 * hp.length_scale**2))
+        v = solve_triangular(low, ks.T, lower=True)
+        out[:, i] = hp.signal_variance - np.sum(v * v, axis=0)
+    return out
+
+
+def test_variance_matches_triangular_solve():
+    # the random family of acceptance criterion 1
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        train, hypers = _random_instance(rng)
+        gp = fit(train, hypers)
+        queries = rng.normal(0.0, 2.0, size=(5, train.input_dim))
+        scale = np.array([max(1.0, hp.signal_variance) for hp in hypers])
+        err = np.abs(gp.predict_var(queries)
+                     - _triangular_solve_variance(gp, queries))
+        assert np.all(err < 1e-10 * scale)
+
+
+def test_variance_matches_triangular_solve_when_ill_conditioned():
+    # sigma_f^2 / sigma_n^2 ~ 1.7e7 and cond(K) ~ 4e9, as for the shipped arm;
+    # at the training inputs the exact variance is below sigma_n^2, so the
+    # cancellation is worst there
+    rng = np.random.default_rng(17)
+    train = TrainingSet(rng.uniform(-1.0, 1.0, size=(4, 300)),
+                        rng.normal(size=(300, 1)))
+    hp = Hyperparameters(2.0, 249.0, 1.5e-5)
+    gp = fit(train, [hp])
+    queries = np.concatenate([train.inputs.T,
+                              rng.uniform(-1.2, 1.2, size=(200, 4))])
+    var = gp.predict_var(queries)  # must not trip the cancellation floor
+    reference = _triangular_solve_variance(gp, queries)
+    assert np.max(np.abs(var - reference)) < 1e-10 * hp.signal_variance
 
 
 # ---------------------------------------------------------------------------

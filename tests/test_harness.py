@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,6 +399,23 @@ def test_cli_config_errors_exit_1(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", out]) == 1
     assert main(["evaluate", str(tmp_path / "absent.csv"),
                  "--out", str(tmp_path / "r.csv")]) == 1
+
+
+@pytest.mark.parametrize("table", [2, [1, 2], "directory"])
+def test_cli_bad_aero_table_exits_1_with_a_message(tmp_path, table):
+    # a child process, because opening the integer 2 as a path would close
+    # the caller's stderr
+    raw = _wing_raw()
+    raw["plant"]["aero_table"] = str(tmp_path) if table == "directory" else table
+    cfg = _write_cfg(tmp_path, raw)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ctgp.cli", "check", "--config", cfg],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "aero_table" in proc.stderr or str(tmp_path) in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_check_exit_codes(tmp_path):
