@@ -7,14 +7,13 @@ from .control import (ControlOutput, Gains, ModelErrorBound, ReferenceSample,
                       estimate_error_bound, pd_control, verify_conditions)
 from .dynamics import (AeroTable, JointState, ManipulatorModel,
                        PendulumEstimate, RadialSpring, TwoLinkArm, WingModel,
-                       aero_torque, check_structural_properties,
-                       forward_dynamics)
+                       aero_torque, check_structural_properties)
 from .gp import (CholeskyError, FittedGP, GPError, Hyperparameters, MultiGP,
                  Prediction, TrainingSet, fit, gram_matrix, kernel_eval,
                  log_marginal_likelihood, optimize_hyperparameters)
 from .sim import (DivergenceError, EnsembleStats, ReferenceTrajectory,
-                  SimConfig, SimResult, lyapunov_trace, reference_sinusoid,
-                  run_ensemble, simulate)
+                  SimConfig, SimResult, lyapunov_trace, run_ensemble,
+                  simulate)
 from .training import (ClosedLoopPlan, OpenLoopPlan, generate_closed_loop,
                        generate_open_loop, residual_torque)
 
@@ -26,9 +25,9 @@ __all__ = [
     "RadialSpring", "ReferenceSample", "ReferenceTrajectory", "SimConfig",
     "SimResult", "TrainingSet", "TwoLinkArm", "WingModel", "aero_torque",
     "build_gp_input", "check_structural_properties", "computed_torque",
-    "ct_gp_control", "estimate_error_bound", "fit", "forward_dynamics",
+    "ct_gp_control", "estimate_error_bound", "fit",
     "generate_closed_loop", "generate_open_loop", "gram_matrix",
     "kernel_eval", "log_marginal_likelihood", "lyapunov_trace",
-    "optimize_hyperparameters", "pd_control", "reference_sinusoid",
+    "optimize_hyperparameters", "pd_control",
     "residual_torque", "run_ensemble", "simulate", "verify_conditions",
 ]

@@ -24,6 +24,11 @@ from .dynamics import JointState, ManipulatorModel
 from .gp import MultiGP
 
 
+# rows per GP call of CTGPController.posterior_std: bounds its cross-kernel
+# buffers to POSTERIOR_STD_CHUNK x m whatever the number of rows
+POSTERIOR_STD_CHUNK = 64
+
+
 class ControlError(Exception):
     pass
 
@@ -109,8 +114,12 @@ def build_gp_input(qdd_d: np.ndarray, qd_d: np.ndarray, q: np.ndarray) -> np.nda
     Desired acceleration and velocity enter, but the measured position.
     """
     q = np.asarray(q, dtype=float)
-    qdd_d = np.broadcast_to(np.asarray(qdd_d, dtype=float), q.shape)
-    qd_d = np.broadcast_to(np.asarray(qd_d, dtype=float), q.shape)
+    qdd_d = np.asarray(qdd_d, dtype=float)
+    qd_d = np.asarray(qd_d, dtype=float)
+    if qdd_d.shape != q.shape:
+        qdd_d = np.broadcast_to(qdd_d, q.shape)
+    if qd_d.shape != q.shape:
+        qd_d = np.broadcast_to(qd_d, q.shape)
     return np.concatenate([qdd_d, qd_d, q], axis=-1)
 
 
@@ -134,8 +143,8 @@ def computed_torque(est_model: ManipulatorModel, gains: Gains, state: JointState
     c = est_model.coriolis_matrix(state.q, state.qd)
     g = est_model.gravity_vector(state.q)
     tau = (
-        _model_mat_vec(h, np.broadcast_to(ref.qdd, state.q.shape))
-        + _model_mat_vec(c, np.broadcast_to(ref.qd, state.q.shape))
+        _model_mat_vec(h, ref.qdd)
+        + _model_mat_vec(c, ref.qd)
         + g
         - _mat_vec(gains.kd, ed)
         - _mat_vec(gains.kp, e)
@@ -214,6 +223,25 @@ class CTGPController:
                include_std: bool = True) -> ControlOutput:
         return ct_gp_control(self.est_model, self.gp, self.gains, state, ref,
                              mode=self.mode, include_std=include_std)
+
+    def posterior_std(self, q: np.ndarray, qd_d: np.ndarray,
+                      qdd_d: np.ndarray) -> np.ndarray:
+        """GP posterior std at rows of measured positions and reference
+        velocities/accelerations, (b, n) each -> (b, n).
+
+        The value output(include_std=True) reports as gp_std for the same
+        state and reference, up to BLAS batching round-off, evaluated in
+        chunks of POSTERIOR_STD_CHUNK rows; zero without training data.
+        """
+        q = np.asarray(q, dtype=float)
+        std = np.zeros(q.shape)
+        if self.gp is None or self.gp.size == 0:
+            return std
+        for lo in range(0, q.shape[0], POSTERIOR_STD_CHUNK):
+            rows = slice(lo, lo + POSTERIOR_STD_CHUNK)
+            query = build_gp_input(qdd_d[rows], qd_d[rows], q[rows])
+            std[rows] = np.sqrt(self.gp.predict_var(query))
+        return std
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,10 @@ class DynamicsError(Exception):
 
 @dataclass
 class JointState:
-    """Joint positions/velocities (and optionally accelerations)."""
+    """Joint positions and velocities."""
 
     q: np.ndarray
     qd: np.ndarray
-    qdd: np.ndarray | None = None
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
@@ -43,12 +42,6 @@ class JointState:
             raise ValueError(f"q shape {self.q.shape} != qd shape {self.qd.shape}")
         if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.qd))):
             raise ValueError("joint state contains non-finite values")
-        if self.qdd is not None:
-            self.qdd = np.asarray(self.qdd, dtype=float)
-            if self.qdd.shape != self.q.shape:
-                raise ValueError("qdd shape mismatch")
-            if not np.all(np.isfinite(self.qdd)):
-                raise ValueError("qdd contains non-finite values")
 
 
 def _mat_vec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -96,10 +89,6 @@ class ManipulatorModel(abc.ABC):
     def kinetic_energy(self, q, qd) -> np.ndarray:
         h = self.mass_matrix(q)
         return 0.5 * np.einsum("...i,...ij,...j->...", qd, h, qd)
-
-
-def forward_dynamics(model: ManipulatorModel, state: JointState, tau) -> np.ndarray:
-    return model.forward_dynamics(state.q, state.qd, tau)
 
 
 # ---------------------------------------------------------------------------

@@ -217,10 +217,21 @@ def kernel_eval(x, x_prime, hp: Hyperparameters) -> float:
     return hp.signal_variance * math.exp(-r2 / (2.0 * hp.length_scale**2))
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances between rows of a (p, d) and b (q, d)."""
-    aa = np.sum(a * a, axis=1)
-    bb = np.sum(b * b, axis=1)
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows of a (p, d)."""
+    return np.sum(a * a, axis=1)
+
+
+def _sq_dists(a: np.ndarray, b: np.ndarray,
+              bb: np.ndarray | None = None) -> np.ndarray:
+    """Pairwise squared distances between rows of a (p, d) and b (q, d).
+
+    `bb`, the rows of b's squared norms from _sq_norms, spares recomputing
+    them and gives the same bits.
+    """
+    aa = _sq_norms(a)
+    if bb is None:
+        bb = _sq_norms(b)
     d2 = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
     return np.maximum(d2, 0.0)
 
@@ -336,6 +347,9 @@ class MultiGP:
     def __init__(self, components: list[FittedGP], input_dim: int):
         self.components = components
         self.input_dim = input_dim
+        # the training inputs' squared norms, shared by every query's distances
+        self._train_sq_norms = (_sq_norms(components[0].training_inputs.T)
+                                if components else np.zeros(0))
 
     @property
     def output_dim(self) -> int:
@@ -370,7 +384,8 @@ class MultiGP:
 
     def _cross_kernels(self, q: np.ndarray) -> list[np.ndarray]:
         """Each output's k* (b, m), all from one query-to-training distance matrix."""
-        d2 = _sq_dists(q, self.components[0].training_inputs.T)
+        d2 = _sq_dists(q, self.components[0].training_inputs.T,
+                       self._train_sq_norms)
         return [c.cross_kernel(d2) for c in self.components]
 
     def predict_mean(self, x: np.ndarray) -> np.ndarray:

@@ -162,18 +162,21 @@ class SimulateOutputs:
 
 def run_simulate(scenario: Scenario, out_dir, seed_override: int | None = None,
                  realizations_override: int | None = None) -> SimulateOutputs:
-    os.makedirs(out_dir, exist_ok=True)
-    gp = load_gp(out_dir) if scenario.needs_gp else None
-    controller = scenario.build_controller(gp)
     sim_cfg = scenario.sim
     if seed_override is not None or realizations_override is not None:
         from dataclasses import replace
-        sim_cfg = replace(
-            sim_cfg,
-            base_seed=scenario.sim.base_seed if seed_override is None else seed_override,
-            realizations=(scenario.sim.realizations if realizations_override is None
-                          else realizations_override),
-        )
+        try:
+            sim_cfg = replace(
+                sim_cfg,
+                base_seed=scenario.sim.base_seed if seed_override is None else seed_override,
+                realizations=(scenario.sim.realizations if realizations_override is None
+                              else realizations_override),
+            )
+        except ValueError as err:
+            raise ConfigError(f"sim: {err}") from err
+    os.makedirs(out_dir, exist_ok=True)
+    gp = load_gp(out_dir) if scenario.needs_gp else None
+    controller = scenario.build_controller(gp)
     manifest = manifest_lines(
         scenario, seed=sim_cfg.base_seed, realizations=sim_cfg.realizations,
         integrator=sim_cfg.integrator, gp_points=gp.size if gp is not None else 0,

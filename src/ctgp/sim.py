@@ -2,12 +2,23 @@
 seeded stochastic ensembles and a Lyapunov-function trace.
 
 Deterministic runs use classic fixed-step RK4 with the controller evaluated
-at every stage.  Stochastic runs use Euler-Maruyama: the controller output is
-held over the step, the drift torque drives the rigid-body dynamics, and the
+at every stage; the reference is sampled once at the midpoint for stages 2
+and 3.  Stochastic runs use Euler-Maruyama: the controller output is held
+over the step, the drift torque drives the rigid-body dynamics, and the
 diagonal diffusion (GP posterior std) enters the velocity update through
 H(q)^-1 scaled by sqrt(dt).  A controller that reports no diffusion at all
 makes the Euler-Maruyama update an exact explicit-Euler step (no noise term
 is added, no random numbers are drawn).
+
+A deterministic law uses the GP only through its posterior mean, so a
+deterministic run of a controller with a `posterior_std` method (CT-GP)
+evaluates no variance inside the step loop.  It keeps the reference rows of
+each recorded step and, after the loop, computes the recorded gp_std column
+from them in one batched pass, in chunks of bounded size.  Stochastic runs
+need the std at every step as their diffusion and keep computing it there.
+
+A run records (steps + 1) x realizations rows; a SimConfig asking for more
+than MAX_RECORD_ROWS is rejected before anything is allocated.
 
 Ensembles run all realizations in lockstep with one generator per run,
 seeded base_seed + i, so results do not depend on scheduling and rerunning a
@@ -83,10 +94,10 @@ class ReferenceTrajectory:
         )
 
 
-def reference_sinusoid(amplitude, frequency, phase, t: float,
-                       frequency_unit: str = "hz") -> ReferenceSample:
-    traj = ReferenceTrajectory(amplitude, frequency, phase, frequency_unit)
-    return traj.sample(t)
+# Upper bound on the rows a run records, (steps + 1) x realizations.  Each
+# row holds 7 n-vectors (q, qd, e, ed, tau, gp_mean, gp_std), so at n = 2 the
+# record arrays of 10^7 rows take ~1.1 GB.
+MAX_RECORD_ROWS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -103,12 +114,24 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0 or not math.isfinite(self.dt):
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if not math.isfinite(self.duration):
+            raise ValueError(f"duration must be finite, got {self.duration}")
         if self.duration < self.dt:
             raise ValueError("duration must cover at least one step")
         if self.integrator not in ("rk4", "euler-maruyama"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
+        # the float ratio first: duration / dt can exceed what steps can round
+        if (self.duration / self.dt >= MAX_RECORD_ROWS
+                or (self.steps + 1) * self.realizations > MAX_RECORD_ROWS):
+            raise ValueError(
+                f"dt {self.dt}, duration {self.duration} and realizations "
+                f"{self.realizations} ask for (duration / dt + 1) x realizations "
+                f"= {(self.duration / self.dt + 1) * self.realizations:.4g} "
+                f"recorded rows, above the limit of {MAX_RECORD_ROWS}; raise "
+                f"sim.dt or lower sim.duration or sim.realizations"
+            )
 
     @property
     def steps(self) -> int:
@@ -214,6 +237,14 @@ def _check_modes(controller, config: SimConfig):
     return mode
 
 
+def _defers_std(controller, mode: str) -> bool:
+    """Whether a run records gp_std after the loop (see the module docstring).
+
+    Controllers without a batched posterior_std report it at each step.
+    """
+    return mode != "stochastic" and hasattr(controller, "posterior_std")
+
+
 def simulate(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
              config: SimConfig, seed: int | None = None,
              q0: np.ndarray | None = None, qd0: np.ndarray | None = None) -> SimResult:
@@ -222,7 +253,7 @@ def simulate(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
     The run aborts with diverged=True (partial trace kept) when any state
     component leaves [-threshold, threshold] or turns non-finite.
     """
-    _check_modes(controller, config)
+    mode = _check_modes(controller, config)
     n = model.n
     if ref.n != n:
         raise ValueError(f"reference dimension {ref.n} != model dimension {n}")
@@ -230,6 +261,7 @@ def simulate(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
     rng = np.random.default_rng(run_seed)
     steps = config.steps
     dt = config.dt
+    defer_std = _defers_std(controller, mode)
 
     q = np.zeros(n) if q0 is None else np.array(q0, dtype=float)
     qd = np.zeros(n) if qd0 is None else np.array(qd0, dtype=float)
@@ -237,20 +269,27 @@ def simulate(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
     t_arr = np.arange(steps + 1) * dt
     rec = {k: np.zeros((steps + 1, n)) for k in
            ("q", "qd", "e", "ed", "tau", "gp_mean", "gp_std")}
+    if defer_std:
+        ref_qd = np.empty((steps + 1, n))
+        ref_qdd = np.empty((steps + 1, n))
     diverged = False
     last = steps
 
     for k in range(steps + 1):
         t = t_arr[k]
         refk = ref.sample(t)
-        out = controller.output(JointState(q, qd), refk, include_std=True)
+        out = controller.output(JointState(q, qd), refk, include_std=not defer_std)
         rec["q"][k] = q
         rec["qd"][k] = qd
         rec["e"][k] = q - refk.q
         rec["ed"][k] = qd - refk.qd
         rec["tau"][k] = out.drift
         rec["gp_mean"][k] = out.gp_mean
-        rec["gp_std"][k] = out.gp_std
+        if defer_std:
+            ref_qd[k] = refk.qd
+            ref_qdd[k] = refk.qdd
+        else:
+            rec["gp_std"][k] = out.gp_std
         if k == steps:
             break
         if config.integrator == "rk4":
@@ -264,6 +303,9 @@ def simulate(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
         q, qd = q_new, qd_new
 
     sl = slice(0, last + 1)
+    if defer_std:
+        rec["gp_std"][sl] = controller.posterior_std(rec["q"][sl], ref_qd[sl],
+                                                     ref_qdd[sl])
     result = SimResult(
         t=t_arr[sl], q=rec["q"][sl], qd=rec["qd"][sl], e=rec["e"][sl],
         ed=rec["ed"][sl], tau=rec["tau"][sl], gp_mean=rec["gp_mean"][sl],
@@ -284,16 +326,15 @@ def _finite_state(q, qd, threshold) -> bool:
 def _rk4_step(model, controller, ref, q, qd, t, dt, out0):
     """One RK4 step; the controller is re-evaluated at every stage."""
 
-    def rate(qs, qds, ts, stage_out=None):
-        if stage_out is None:
-            stage_out = controller.output(JointState(qs, qds), ref.sample(ts),
-                                          include_std=False)
+    def rate(qs, qds, ref_s):
+        stage_out = controller.output(JointState(qs, qds), ref_s, include_std=False)
         return qds, model.forward_dynamics(qs, qds, stage_out.drift)
 
-    k1q, k1v = rate(q, qd, t, out0)
-    k2q, k2v = rate(q + 0.5 * dt * k1q, qd + 0.5 * dt * k1v, t + 0.5 * dt)
-    k3q, k3v = rate(q + 0.5 * dt * k2q, qd + 0.5 * dt * k2v, t + 0.5 * dt)
-    k4q, k4v = rate(q + dt * k3q, qd + dt * k3v, t + dt)
+    k1q, k1v = qd, model.forward_dynamics(q, qd, out0.drift)
+    ref_mid = ref.sample(t + 0.5 * dt)  # stages 2 and 3 share their time
+    k2q, k2v = rate(q + 0.5 * dt * k1q, qd + 0.5 * dt * k1v, ref_mid)
+    k3q, k3v = rate(q + 0.5 * dt * k2q, qd + 0.5 * dt * k2v, ref_mid)
+    k4q, k4v = rate(q + dt * k3q, qd + dt * k3v, ref.sample(t + dt))
     q_new = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
     qd_new = qd + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     return q_new, qd_new
@@ -332,6 +373,7 @@ def run_ensemble(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
     runs = config.realizations
     steps = config.steps
     dt = config.dt
+    defer_std = _defers_std(controller, mode)
     rngs = [np.random.default_rng(config.base_seed + i) for i in range(runs)]
 
     q = np.zeros((runs, n))
@@ -342,18 +384,25 @@ def run_ensemble(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
     t_arr = np.arange(steps + 1) * dt
     rec = {k: np.zeros((runs, steps + 1, n)) for k in
            ("q", "qd", "e", "ed", "tau", "gp_mean", "gp_std")}
+    if defer_std:
+        ref_qd = np.empty((steps + 1, n))
+        ref_qdd = np.empty((steps + 1, n))
 
     for k in range(steps + 1):
         t = t_arr[k]
         refk = ref.sample(t)
-        out = controller.output(JointState(q, qd), refk, include_std=True)
+        out = controller.output(JointState(q, qd), refk, include_std=not defer_std)
         rec["q"][:, k] = q
         rec["qd"][:, k] = qd
         rec["e"][:, k] = q - refk.q
         rec["ed"][:, k] = qd - refk.qd
         rec["tau"][:, k] = out.drift
         rec["gp_mean"][:, k] = out.gp_mean
-        rec["gp_std"][:, k] = out.gp_std
+        if defer_std:
+            ref_qd[k] = refk.qd
+            ref_qdd[k] = refk.qdd
+        else:
+            rec["gp_std"][:, k] = out.gp_std
         if k == steps:
             break
         if config.integrator == "rk4":
@@ -390,6 +439,9 @@ def run_ensemble(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
     rmse = np.full((runs, n), np.nan)
     for i in range(runs):
         end = min(div_step[i], steps + 1)
+        if defer_std:
+            rec["gp_std"][i, :end] = controller.posterior_std(
+                rec["q"][i, :end], ref_qd[:end], ref_qdd[:end])
         res = SimResult(
             t=t_arr[:end], q=rec["q"][i, :end], qd=rec["qd"][i, :end],
             e=rec["e"][i, :end], ed=rec["ed"][i, :end], tau=rec["tau"][i, :end],

@@ -337,6 +337,20 @@ def test_t_skip_must_precede_duration_end():
 # fingerprint
 
 
+@pytest.mark.parametrize("sim", [{"dt": 1e-9, "duration": 10.0},
+                                 {"duration": 10.0, "realizations": 1_000_000_000}])
+def test_unbounded_record_rejected(tmp_path, sim):
+    raw = _wing_raw()
+    raw["sim"].update(sim)
+    with pytest.raises(ConfigError, match="sim.dt or lower sim.duration or "
+                                          "sim.realizations"):
+        scenario_from_dict(raw)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ConfigError, match="recorded rows"):
+        load_scenario(path)
+
+
 def test_fingerprint_stable_and_order_independent():
     a = scenario_from_dict(_wing_raw())
     b = scenario_from_dict(_wing_raw())

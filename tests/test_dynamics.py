@@ -16,7 +16,7 @@ import pytest
 from ctgp.dynamics import (AeroTable, DynamicsError, JointState,
                            PendulumEstimate, RadialSpring, TwoLinkArm,
                            WingModel, aero_torque,
-                           check_structural_properties, forward_dynamics)
+                           check_structural_properties)
 
 
 def _arm(spring=True) -> TwoLinkArm:
@@ -35,13 +35,14 @@ def _wing(airspeed=5.0) -> WingModel:
 def test_joint_state_coerces_to_float_arrays():
     s = JointState([1, 2], [3, 4])
     assert s.q.dtype == float and s.qd.dtype == float
-    assert s.qdd is None
+    # positions and velocities only: accelerations are not part of a state
+    assert not hasattr(s, "qdd")
 
 
 def test_joint_state_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         JointState(np.zeros(2), np.zeros(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         JointState(np.zeros(2), np.zeros(2), qdd=np.zeros(3))
 
 
@@ -49,7 +50,7 @@ def test_joint_state_rejects_non_finite():
     with pytest.raises(ValueError):
         JointState(np.array([np.nan, 0.0]), np.zeros(2))
     with pytest.raises(ValueError):
-        JointState(np.zeros(2), np.zeros(2), qdd=np.array([np.inf, 0.0]))
+        JointState(np.zeros(2), np.array([np.inf, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +447,11 @@ def test_forward_inverse_round_trip_identity():
         assert np.max(np.abs(back - tau)) < 1e-10
 
 
-def test_forward_dynamics_module_wrapper():
+def test_forward_dynamics_of_a_joint_state():
     model = _wing(airspeed=0.0)
     state = JointState(np.zeros(1), np.zeros(1))
-    assert forward_dynamics(model, state, np.array([2.0]))[0] == pytest.approx(2.0)
+    assert model.forward_dynamics(state.q, state.qd, np.array([2.0]))[0] == \
+        pytest.approx(2.0)
 
 
 def test_kinetic_energy_quadratic_form():

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 import ctgp.gp as gp_module
@@ -252,9 +254,9 @@ def test_predict_computes_query_distances_once_per_call(monkeypatch, n):
     calls = []
     sq_dists = gp_module._sq_dists
 
-    def count(a, b):
+    def count(a, b, bb=None):
         calls.append(a.shape)
-        return sq_dists(a, b)
+        return sq_dists(a, b, bb)
 
     monkeypatch.setattr(gp_module, "_sq_dists", count)
     for method in (gp.predict, gp.predict_mean, gp.predict_var):
@@ -262,6 +264,37 @@ def test_predict_computes_query_distances_once_per_call(monkeypatch, n):
             calls.clear()
             method(x)
             assert len(calls) == 1
+
+
+@pytest.mark.parametrize("batch", [1, 100])
+def test_sq_dists_with_stored_norms_is_bitwise_recomputed(batch):
+    rng = np.random.default_rng(18)
+    train = rng.normal(0.0, 2.0, size=(6, 351))
+    gp = fit(TrainingSet(train, rng.normal(size=(351, 2))),
+             [Hyperparameters(1.0, 249.0, 1.5e-5)] * 2)
+    x = rng.normal(0.0, 2.0, size=(batch, 6))
+    stored = gp_module._sq_dists(x, train.T, gp._train_sq_norms)
+    assert np.array_equal(stored, gp_module._sq_dists(x, train.T))
+    # the expression before the norms were stored
+    aa = np.sum(x * x, axis=1)
+    bb = np.sum(train.T * train.T, axis=1)
+    before = np.maximum(aa[:, None] + bb[None, :] - 2.0 * (x @ train), 0.0)
+    assert np.array_equal(stored, before)
+
+
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 300))
+def test_predict_var_is_batch_size_invariant(seed, batch):
+    # the random family of acceptance criterion 1; a deterministic run
+    # records gp_std from batches of many rows, the controller at batch 1
+    rng = np.random.default_rng(seed)
+    train, hypers = _random_instance(rng)
+    gp = fit(train, hypers)
+    x = rng.normal(0.0, 2.0, size=(batch, train.input_dim))
+    var = gp.predict_var(x)
+    rows = np.array([gp.predict(row).std ** 2 for row in x])
+    sf2 = np.array([hp.signal_variance for hp in hypers])
+    assert np.all(np.abs(var - rows) <= 1e-10 * np.maximum(1.0, sf2))
+    assert np.all((var >= 0.0) & (var <= sf2))
 
 
 @pytest.mark.parametrize("batch", [1, 100])

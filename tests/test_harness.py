@@ -401,6 +401,31 @@ def test_cli_config_errors_exit_1(tmp_path):
                  "--out", str(tmp_path / "r.csv")]) == 1
 
 
+@pytest.mark.parametrize("sim, args", [
+    ({"dt": 1e-9, "duration": 10.0}, []),
+    ({}, ["--realizations", "1000000000"]),
+])
+def test_cli_unbounded_record_exits_1_before_allocating(tmp_path, monkeypatch,
+                                                        capsys, sim, args):
+    import ctgp.harness as harness_module
+
+    def unreachable(*a, **k):
+        raise AssertionError("the record bound must refuse the run first")
+
+    monkeypatch.setattr(harness_module, "simulate", unreachable)
+    monkeypatch.setattr(harness_module, "run_ensemble", unreachable)
+    raw = _wing_raw()
+    raw["sim"].update(sim)
+    cfg = _write_cfg(tmp_path, raw)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out), *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    for key in ("sim.dt", "sim.duration", "sim.realizations"):
+        assert key in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("table", [2, [1, 2], "directory"])
 def test_cli_bad_aero_table_exits_1_with_a_message(tmp_path, table):
     # a child process, because opening the integer 2 as a path would close

@@ -12,13 +12,14 @@ import math
 import numpy as np
 import pytest
 
-from ctgp.control import (ComputedTorqueController, ControlOutput,
-                          CTGPController, Gains, PDController)
-from ctgp.dynamics import JointState, ManipulatorModel, TwoLinkArm, WingModel
-from ctgp.gp import Hyperparameters, MultiGP, TrainingSet, fit
-from ctgp.sim import (DivergenceError, ReferenceTrajectory, SimConfig,
-                      SimResult, lyapunov_trace, reference_sinusoid,
-                      run_ensemble, simulate)
+from ctgp.control import (POSTERIOR_STD_CHUNK, ComputedTorqueController,
+                          ControlOutput, CTGPController, Gains, PDController)
+from ctgp.dynamics import (JointState, ManipulatorModel, RadialSpring,
+                           TwoLinkArm, WingModel)
+from ctgp.gp import FittedGP, Hyperparameters, MultiGP, TrainingSet, fit
+from ctgp.sim import (MAX_RECORD_ROWS, DivergenceError, ReferenceTrajectory,
+                      SimConfig, SimResult, lyapunov_trace, run_ensemble,
+                      simulate)
 
 
 class _ZeroController:
@@ -96,8 +97,8 @@ def test_reference_validation():
         ReferenceTrajectory(np.array([np.inf]), np.zeros(1), np.zeros(1))
 
 
-def test_reference_sinusoid_helper():
-    s = reference_sinusoid(np.array([0.3]), np.array([1.0]), np.zeros(1), 0.25)
+def test_reference_sample_from_plain_sequences():
+    s = ReferenceTrajectory([0.3], [1.0], [0.0]).sample(0.25)
     traj = ReferenceTrajectory(np.array([0.3]), np.array([1.0]), np.zeros(1))
     assert np.array_equal(s.q, traj.sample(0.25).q)
 
@@ -116,6 +117,25 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(realizations=0)
     assert SimConfig(dt=1e-3, duration=2.5).steps == 2500
+
+
+def test_sim_config_bounds_the_recorded_rows():
+    # 1000 rows x 10^4 realizations is exactly the limit
+    assert MAX_RECORD_ROWS == 10_000_000
+    assert SimConfig(dt=1e-3, duration=0.999, realizations=10_000).steps == 999
+    with pytest.raises(ValueError, match="sim.realizations"):
+        SimConfig(dt=1e-3, duration=0.999, realizations=10_001)
+    with pytest.raises(ValueError, match="sim.dt"):
+        SimConfig(dt=1e-9, duration=10.0)
+    with pytest.raises(ValueError, match="sim.duration"):
+        SimConfig(dt=1e-3, duration=1e6)
+    # duration / dt beyond the float range is refused, not an OverflowError
+    with pytest.raises(ValueError, match="above the limit"):
+        SimConfig(dt=1e-320, duration=10.0)
+    with pytest.raises(ValueError, match="above the limit"):
+        SimConfig(dt=1e-3, duration=10.0, realizations=1_000_000_000)
+    with pytest.raises(ValueError, match="finite"):
+        SimConfig(dt=1e-3, duration=math.inf)
 
 
 def test_stochastic_controller_requires_em_integrator():
@@ -236,6 +256,159 @@ def test_em_stochastic_runs_depend_on_seed():
     c = simulate(model, ctl, ref, config, seed=1)
     assert not np.array_equal(a.q, b.q)
     assert np.array_equal(a.q, c.q)
+
+
+# ---------------------------------------------------------------------------
+# deterministic CT-GP: gp_std recorded after the loop
+
+
+def _stage_one_std_rk4(model, ctl, ref, config):
+    """RK4 with the posterior std computed at every step's first stage.
+
+    The reference algorithm for the deferred gp_std pass: the controller is
+    asked for its std inside the loop, and every stage samples its own
+    reference.  Returns the recorded columns as a dict of (steps + 1, n).
+    """
+    n = model.n
+    dt = config.dt
+    q, qd = np.zeros(n), np.zeros(n)
+    cols = {k: [] for k in ("q", "qd", "e", "ed", "tau", "gp_mean", "gp_std")}
+
+    def rate(qs, qds, ts):
+        out = ctl.output(JointState(qs, qds), ref.sample(ts), include_std=False)
+        return qds, model.forward_dynamics(qs, qds, out.drift)
+
+    for t in np.arange(config.steps + 1) * dt:
+        r = ref.sample(t)
+        out = ctl.output(JointState(q, qd), r, include_std=True)
+        for key, val in (("q", q), ("qd", qd), ("e", q - r.q), ("ed", qd - r.qd),
+                         ("tau", out.drift), ("gp_mean", out.gp_mean),
+                         ("gp_std", out.gp_std)):
+            cols[key].append(val)
+        k1q, k1v = qd, model.forward_dynamics(q, qd, out.drift)
+        k2q, k2v = rate(q + 0.5 * dt * k1q, qd + 0.5 * dt * k1v, t + 0.5 * dt)
+        k3q, k3v = rate(q + 0.5 * dt * k2q, qd + 0.5 * dt * k2v, t + 0.5 * dt)
+        k4q, k4v = rate(q + dt * k3q, qd + dt * k3v, t + dt)
+        q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        qd = qd + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return {k: np.array(v) for k, v in cols.items()}
+
+
+def _arm_like_gp(rng) -> MultiGP:
+    # sigma_f^2 / sigma_n^2 ~ 1.7e7, as for the shipped arm: the variance
+    # cancels hardest near the data, which is where the run goes
+    m = 200
+    x = np.concatenate([rng.uniform(-8.0, 8.0, (2, m)),   # qdd_d
+                        rng.uniform(-4.0, 4.0, (2, m)),   # qd_d
+                        rng.uniform(-0.7, 0.7, (2, m))])  # q
+    y = rng.normal(0.0, 1.0, (m, 2))
+    hp = Hyperparameters(3.0, 249.0, 1.5e-5)
+    return fit(TrainingSet(x, y), [hp, hp])
+
+
+def _arm_case():
+    spring = RadialSpring(anchor=(0.45, -0.15), rest_length=0.1, k1=15.0, k3=150.0)
+    model = TwoLinkArm(spring=spring)
+    est = TwoLinkArm(viscous=0.0, coulomb=0.0, spring=None)
+    ctl = CTGPController(est, _arm_like_gp(np.random.default_rng(3)),
+                         Gains.diagonal([20.0, 15.0], [5.0, 5.0]))
+    ref = ReferenceTrajectory(np.array([0.6283, 0.6283]), np.array([1.0, 2.0]),
+                              np.zeros(2))
+    return model, ctl, ref
+
+
+def _wing_case():
+    model = _pendulum()
+    ctl = CTGPController(model.estimate(), _tiny_wing_gp(),
+                         Gains.diagonal([5.0], [5.0]))
+    ref = ReferenceTrajectory(np.array([0.3]), np.array([1.0]), np.zeros(1),
+                              frequency_unit="rad_per_s")
+    return model, ctl, ref
+
+
+@pytest.mark.parametrize("case", [_wing_case, _arm_case])
+def test_deterministic_ct_gp_matches_stage_one_std_loop(case):
+    model, ctl, ref = case()
+    # 301 rows: four full chunks and a partial one
+    config = SimConfig(dt=1e-3, duration=0.3)
+    res = simulate(model, ctl, ref, config)
+    want = _stage_one_std_rk4(model, ctl, ref, config)
+    for key in ("q", "qd", "e", "ed", "tau", "gp_mean"):
+        assert np.array_equal(getattr(res, key), want[key]), key
+    scale = max(1.0, max(c.hyperparameters.signal_variance
+                         for c in ctl.gp.components))
+    assert np.max(np.abs(res.gp_std**2 - want["gp_std"]**2)) <= 1e-10 * scale
+    assert np.all(res.gp_std > 0.0)
+
+
+def test_deterministic_run_computes_no_variance_in_the_loop(monkeypatch):
+    model, ctl, ref = _wing_case()
+    config = SimConfig(dt=1e-3, duration=0.2)
+    outputs, variances, var_batches = [], [], []
+    output, variance = CTGPController.output, FittedGP.variance
+    predict_var = MultiGP.predict_var
+
+    def count_output(self, *args, **kwargs):
+        outputs.append(1)
+        return output(self, *args, **kwargs)
+
+    def count_variance(self, ks):
+        variances.append(ks.shape[0])
+        return variance(self, ks)
+
+    def count_predict_var(self, x):
+        var_batches.append(np.atleast_2d(x).shape[0])
+        return predict_var(self, x)
+
+    monkeypatch.setattr(CTGPController, "output", count_output)
+    monkeypatch.setattr(FittedGP, "variance", count_variance)
+    monkeypatch.setattr(MultiGP, "predict_var", count_predict_var)
+    res = simulate(model, ctl, ref, config)
+    rows = config.steps + 1
+    assert len(outputs) == 4 * config.steps + 1
+    # one variance per chunk of the pass after the loop, none per step
+    assert len(variances) == math.ceil(rows / POSTERIOR_STD_CHUNK)
+    assert sum(var_batches) == rows
+    assert max(var_batches) <= POSTERIOR_STD_CHUNK
+    assert res.gp_std.shape == (rows, 1)
+
+
+def test_stochastic_run_keeps_the_per_step_std(monkeypatch):
+    model = _pendulum()
+    ctl = CTGPController(model.estimate(), _tiny_wing_gp(),
+                         Gains.diagonal([5.0], [5.0]), mode="stochastic")
+    config = SimConfig(dt=1e-3, duration=0.05, integrator="euler-maruyama")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the diffusion needs the std at every step")
+
+    monkeypatch.setattr(CTGPController, "posterior_std", unreachable)
+    res = simulate(model, ctl, _still_ref(), config)
+    assert np.all(res.gp_std > 0.0)
+
+
+def test_empty_gp_records_an_all_zero_std_column():
+    model = _pendulum()
+    gains = Gains.diagonal([5.0], [5.0])
+    ref = _still_ref()
+    config = SimConfig(dt=1e-3, duration=0.1)
+    ctl = CTGPController(model.estimate(), MultiGP.empty(3, 1), gains)
+    res = simulate(model, ctl, ref, config)
+    ct = simulate(model, ComputedTorqueController(model.estimate(), gains), ref,
+                  config)
+    assert np.array_equal(res.gp_std, np.zeros((config.steps + 1, 1)))
+    assert np.array_equal(res.q, ct.q) and np.array_equal(res.tau, ct.tau)
+
+
+def test_deterministic_ensemble_records_the_deferred_std():
+    model, ctl, ref = _wing_case()
+    config = SimConfig(dt=1e-3, duration=0.1, realizations=2)
+    _, runs = run_ensemble(model, ctl, ref, config)
+    solo = simulate(model, ctl, ref, config)
+    for run in runs:
+        assert np.max(np.abs(run.q - solo.q)) < 1e-10
+        assert np.max(np.abs(run.gp_std - solo.gp_std)) < 1e-10
+        assert np.all(run.gp_std > 0.0)
 
 
 # ---------------------------------------------------------------------------
