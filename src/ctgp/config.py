@@ -385,8 +385,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
                         "training", "sim", "evaluate", "check"},
                   {"name", "plant", "estimate", "controller", "reference"}, "scenario")
     name = raw.get("name")
-    if not isinstance(name, str) or not name:
-        raise ConfigError("scenario.name: expected a non-empty string")
+    # the name is a whitespace-separated manifest value in every result CSV
+    if not isinstance(name, str) or not name or any(c.isspace() for c in name):
+        raise ConfigError(f"scenario.name: expected a non-empty string without "
+                          f"whitespace, got {name!r}")
     plant = _build_plant(raw["plant"])
     estimate = _build_estimate(raw["estimate"], plant)
     kind, gains, mode = _build_controller_section(raw["controller"])

@@ -87,15 +87,14 @@ class ReferenceSample:
 
 @dataclass
 class ControlOutput:
-    """Controller output split into applied torque, drift and diffusion.
+    """Controller output: the drift (commanded) torque and the diffusion.
 
-    torque == drift for deterministic laws; diffusion is None for them (no
-    stochastic term at all) and a diagonal (..., n, n) matrix of posterior
-    standard deviations in stochastic mode.  gp_mean/gp_std are recorded for
-    tracing and are zero for laws without a GP.
+    diffusion is None for deterministic laws (no stochastic term at all) and
+    a diagonal (..., n, n) matrix of posterior standard deviations in
+    stochastic mode.  gp_mean/gp_std are recorded for tracing and are zero
+    for laws without a GP.
     """
 
-    torque: np.ndarray
     drift: np.ndarray
     diffusion: np.ndarray | None = None
     gp_mean: np.ndarray = field(default=None)  # type: ignore[assignment]
@@ -103,9 +102,9 @@ class ControlOutput:
 
     def __post_init__(self):
         if self.gp_mean is None:
-            self.gp_mean = np.zeros_like(self.torque)
+            self.gp_mean = np.zeros_like(self.drift)
         if self.gp_std is None:
-            self.gp_std = np.zeros_like(self.torque)
+            self.gp_std = np.zeros_like(self.drift)
 
 
 def build_gp_input(qdd_d: np.ndarray, qd_d: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -127,7 +126,7 @@ def pd_control(gains: Gains, state: JointState, ref: ReferenceSample) -> Control
     e = state.q - ref.q
     ed = state.qd - ref.qd
     tau = -_mat_vec(gains.kp, e) - _mat_vec(gains.kd, ed)
-    return ControlOutput(torque=tau, drift=tau)
+    return ControlOutput(drift=tau)
 
 
 def computed_torque(est_model: ManipulatorModel, gains: Gains, state: JointState,
@@ -149,7 +148,7 @@ def computed_torque(est_model: ManipulatorModel, gains: Gains, state: JointState
         - _mat_vec(gains.kd, ed)
         - _mat_vec(gains.kp, e)
     )
-    return ControlOutput(torque=tau, drift=tau)
+    return ControlOutput(drift=tau)
 
 
 def ct_gp_control(est_model: ManipulatorModel, gp: MultiGP | None, gains: Gains,
@@ -157,32 +156,28 @@ def ct_gp_control(est_model: ManipulatorModel, gp: MultiGP | None, gains: Gains,
                   include_std: bool = True) -> ControlOutput:
     """Computed torque plus the GP model-error compensation.
 
-    With no training data the GP contributes an exactly zero mean and zero
-    standard deviation, and the output is the computed-torque output object
-    itself, so the two laws coincide bit for bit.
+    The GP terms are filled into the computed-torque output itself.  With no
+    training data the GP contributes an exactly zero mean and zero standard
+    deviation and the drift is left as it is, so the two laws coincide bit
+    for bit.  Without include_std (deterministic mode only) gp_std stays
+    zero.
     """
     if mode not in ("deterministic", "stochastic"):
         raise ControlError(f"unknown mode {mode!r}")
-    base = computed_torque(est_model, gains, state, ref)
-    n = state.q.shape[-1]
-    if gp is None or gp.size == 0:
-        if mode == "stochastic":
-            base.diffusion = np.zeros(state.q.shape + (n,))
-        return base
-    query = build_gp_input(ref.qdd, ref.qd, state.q)
-    if mode == "stochastic" or include_std:
-        pred = gp.predict(query)
-        mean, std = pred.mean, pred.std
-    else:
-        mean = gp.predict_mean(query)
-        std = np.zeros_like(mean)
-    drift = base.torque + mean
-    out = ControlOutput(torque=drift, drift=drift, gp_mean=mean, gp_std=std)
+    out = computed_torque(est_model, gains, state, ref)
+    if gp is not None and gp.size > 0:
+        query = build_gp_input(ref.qdd, ref.qd, state.q)
+        if mode == "stochastic" or include_std:
+            pred = gp.predict(query)
+            out.gp_mean, out.gp_std = pred.mean, pred.std
+        else:
+            out.gp_mean = gp.predict_mean(query)
+        out.drift = out.drift + out.gp_mean
     if mode == "stochastic":
-        diffusion = np.zeros(state.q.shape + (n,))
+        n = state.q.shape[-1]
+        out.diffusion = np.zeros(state.q.shape + (n,))
         idx = np.arange(n)
-        diffusion[..., idx, idx] = std
-        out.diffusion = diffusion
+        out.diffusion[..., idx, idx] = out.gp_std
     return out
 
 

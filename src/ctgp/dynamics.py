@@ -215,6 +215,20 @@ def aero_torque(table: AeroTable, q, airspeed: float, *, air_density: float = 1.
     return -torque
 
 
+def _constant_inertia(self, q):
+    """1x1 inertia `self.inertia` at every configuration (1-dof models)."""
+    q = np.asarray(q, dtype=float)
+    out = np.zeros(q.shape[:-1] + (1, 1))
+    out[..., 0, 0] = self.inertia
+    return out
+
+
+def _no_coriolis(self, q, qd):
+    """Zero Coriolis matrix: a constant 1x1 inertia has no Christoffel terms."""
+    q = np.asarray(q, dtype=float)
+    return np.zeros(q.shape[:-1] + (1, 1))
+
+
 @dataclass(frozen=True)
 class WingModel(ManipulatorModel):
     """Actuated 1-dof wing: pendulum under gravity plus tabulated aero load."""
@@ -236,15 +250,8 @@ class WingModel(ManipulatorModel):
         if self.inertia <= 0:
             raise ValueError("inertia must be positive")
 
-    def mass_matrix(self, q):
-        q = np.asarray(q, dtype=float)
-        out = np.zeros(q.shape[:-1] + (1, 1))
-        out[..., 0, 0] = self.inertia
-        return out
-
-    def coriolis_matrix(self, q, qd):
-        q = np.asarray(q, dtype=float)
-        return np.zeros(q.shape[:-1] + (1, 1))
+    mass_matrix = _constant_inertia
+    coriolis_matrix = _no_coriolis
 
     def gravity_vector(self, q, qd=None):
         q = np.asarray(q, dtype=float)
@@ -277,15 +284,8 @@ class PendulumEstimate(ManipulatorModel):
 
     n = 1
 
-    def mass_matrix(self, q):
-        q = np.asarray(q, dtype=float)
-        out = np.zeros(q.shape[:-1] + (1, 1))
-        out[..., 0, 0] = self.inertia
-        return out
-
-    def coriolis_matrix(self, q, qd):
-        q = np.asarray(q, dtype=float)
-        return np.zeros(q.shape[:-1] + (1, 1))
+    mass_matrix = _constant_inertia
+    coriolis_matrix = _no_coriolis
 
     def gravity_vector(self, q, qd=None):
         q = np.asarray(q, dtype=float)

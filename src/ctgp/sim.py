@@ -1,6 +1,14 @@
 """Closed-loop simulation: sinusoidal references, fixed-step integrators,
 seeded stochastic ensembles and a Lyapunov-function trace.
 
+One step loop, `_integrate`, serves three callers over a state with a
+leading batch shape: () for `simulate`, (runs,) for `run_ensemble` and
+(cells,) for the open-loop training grid, which drives it with a
+constant-torque policy and records nothing.  A single run stays unbatched
+because the model functions do not give the same bits at every batch shape
+(TwoLinkArm.gravity_vector at (1, 2) differs from (2,) in the last bits), and
+a single run must reproduce its own past trajectories exactly.
+
 Deterministic runs use classic fixed-step RK4 with the controller evaluated
 at every stage; the reference is sampled once at the midpoint for stages 2
 and 3.  Stochastic runs use Euler-Maruyama: the controller output is held
@@ -10,19 +18,25 @@ H(q)^-1 scaled by sqrt(dt).  A controller that reports no diffusion at all
 makes the Euler-Maruyama update an exact explicit-Euler step (no noise term
 is added, no random numbers are drawn).
 
+A run diverges when a state component turns non-finite or leaves
+[-divergence_threshold, divergence_threshold]: it freezes at its last state,
+keeps its rows up to that state, and the loop stops once no run is active.
+
 A deterministic law uses the GP only through its posterior mean, so a
 deterministic run of a controller with a `posterior_std` method (CT-GP)
 evaluates no variance inside the step loop.  It keeps the reference rows of
 each recorded step and, after the loop, computes the recorded gp_std column
-from them in one batched pass, in chunks of bounded size.  Stochastic runs
-need the std at every step as their diffusion and keep computing it there.
+from them in one batched pass per run, in chunks of bounded size.
+Stochastic runs need the std at every step as their diffusion and keep
+computing it there.
 
 A run records (steps + 1) x realizations rows; a SimConfig asking for more
 than MAX_RECORD_ROWS is rejected before anything is allocated.
 
 Ensembles run all realizations in lockstep with one generator per run,
-seeded base_seed + i, so results do not depend on scheduling and rerunning a
-single realization reproduces its ensemble member.
+seeded base_seed + i; a frozen run draws nothing, so results do not depend
+on scheduling and rerunning a single realization reproduces its ensemble
+member.
 """
 
 from __future__ import annotations
@@ -122,6 +136,8 @@ class SimConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
+        if not math.isfinite(self.divergence_threshold):
+            raise ValueError("divergence_threshold must be finite")
         # the float ratio first: duration / dt can exceed what steps can round
         if (self.duration / self.dt >= MAX_RECORD_ROWS
                 or (self.steps + 1) * self.realizations > MAX_RECORD_ROWS):
@@ -230,100 +246,104 @@ class EnsembleStats:
             fh.write("\n".join(lines) + "\n")
 
 
-def _check_modes(controller, config: SimConfig):
+_RECORDED = ("q", "qd", "e", "ed", "tau", "gp_mean", "gp_std")
+
+
+def _integrate(model: ManipulatorModel, controller, ref: ReferenceTrajectory | None,
+               config: SimConfig, q: np.ndarray, qd: np.ndarray,
+               seeds: list[int] | None):
+    """The step loop of simulate, run_ensemble and the open-loop grid.
+
+    q and qd are (*batch, n) start states, with batch () for one run,
+    (runs,) for an ensemble and (cells,) for the grid; seeds holds one seed
+    per run in batch order.  With seeds=None nothing is recorded and ref may
+    be None (a policy that reads no reference).  Returns the final states,
+    the mask of runs that never diverged and one SimResult per run (None
+    without seeds).
+    """
     mode = getattr(controller, "mode", "deterministic")
     if mode == "stochastic" and config.integrator != "euler-maruyama":
         raise ValueError("stochastic controllers require the euler-maruyama integrator")
-    return mode
-
-
-def _defers_std(controller, mode: str) -> bool:
-    """Whether a run records gp_std after the loop (see the module docstring).
-
-    Controllers without a batched posterior_std report it at each step.
-    """
-    return mode != "stochastic" and hasattr(controller, "posterior_std")
-
-
-def simulate(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
-             config: SimConfig, seed: int | None = None,
-             q0: np.ndarray | None = None, qd0: np.ndarray | None = None) -> SimResult:
-    """Integrate one closed-loop run on the fixed grid.
-
-    The run aborts with diverged=True (partial trace kept) when any state
-    component leaves [-threshold, threshold] or turns non-finite.
-    """
-    mode = _check_modes(controller, config)
-    n = model.n
-    if ref.n != n:
-        raise ValueError(f"reference dimension {ref.n} != model dimension {n}")
-    run_seed = config.base_seed if seed is None else seed
-    rng = np.random.default_rng(run_seed)
-    steps = config.steps
-    dt = config.dt
-    defer_std = _defers_std(controller, mode)
-
-    q = np.zeros(n) if q0 is None else np.array(q0, dtype=float)
-    qd = np.zeros(n) if qd0 is None else np.array(qd0, dtype=float)
+    if ref is not None and ref.n != model.n:
+        raise ValueError(f"reference dimension {ref.n} != model dimension {model.n}")
+    batch, n = q.shape[:-1], q.shape[-1]
+    steps, dt, threshold = config.steps, config.dt, config.divergence_threshold
+    record = seeds is not None
+    defer_std = record and mode != "stochastic" and hasattr(controller, "posterior_std")
+    rngs = [np.random.default_rng(s) for s in seeds or ()]
+    sample = ref.sample if ref is not None else (lambda t: None)
 
     t_arr = np.arange(steps + 1) * dt
-    rec = {k: np.zeros((steps + 1, n)) for k in
-           ("q", "qd", "e", "ed", "tau", "gp_mean", "gp_std")}
+    active = np.ones(batch, dtype=bool)
+    end = np.full(batch, steps + 1)  # rows each run keeps
+    if record:
+        rec = {key: np.zeros(batch + (steps + 1, n)) for key in _RECORDED}
     if defer_std:
         ref_qd = np.empty((steps + 1, n))
         ref_qdd = np.empty((steps + 1, n))
-    diverged = False
-    last = steps
 
     for k in range(steps + 1):
         t = t_arr[k]
-        refk = ref.sample(t)
+        refk = sample(t)
         out = controller.output(JointState(q, qd), refk, include_std=not defer_std)
-        rec["q"][k] = q
-        rec["qd"][k] = qd
-        rec["e"][k] = q - refk.q
-        rec["ed"][k] = qd - refk.qd
-        rec["tau"][k] = out.drift
-        rec["gp_mean"][k] = out.gp_mean
-        if defer_std:
-            ref_qd[k] = refk.qd
-            ref_qdd[k] = refk.qdd
-        else:
-            rec["gp_std"][k] = out.gp_std
+        if record:
+            row = (..., k, slice(None))
+            rec["q"][row] = q
+            rec["qd"][row] = qd
+            rec["e"][row] = q - refk.q
+            rec["ed"][row] = qd - refk.qd
+            rec["tau"][row] = out.drift
+            rec["gp_mean"][row] = out.gp_mean
+            if defer_std:
+                ref_qd[k] = refk.qd
+                ref_qdd[k] = refk.qdd
+            else:
+                rec["gp_std"][row] = out.gp_std
         if k == steps:
             break
         if config.integrator == "rk4":
-            q_new, qd_new = _rk4_step(model, controller, ref, q, qd, t, dt, out)
+            q_new, qd_new = _rk4_step(model, controller, sample, q, qd, t, dt, out)
         else:
-            q_new, qd_new = _em_step(model, q, qd, dt, out, rng)
-        if not _finite_state(q_new, qd_new, config.divergence_threshold):
-            diverged = True
-            last = k
-            break
+            # Euler-Maruyama, the controller output held over the step;
+            # diffusion=None adds no noise term (exact explicit Euler)
+            q_new = q + dt * qd
+            qd_new = qd + dt * model.forward_dynamics(q, qd, out.drift)
+            if out.diffusion is not None:
+                xi = np.zeros(qd.shape)
+                for rng, idx in zip(rngs, np.ndindex(batch)):
+                    if active[idx]:  # a frozen run draws nothing
+                        xi[idx] = rng.standard_normal(n)
+                drive = np.einsum("...ij,...j->...i", out.diffusion, xi)
+                kick = np.linalg.solve(model.mass_matrix(q), drive[..., None])[..., 0]
+                qd_new = qd_new + math.sqrt(dt) * kick
+        # a NaN or infinite component fails the comparison too
+        ok = (np.all(np.abs(q_new) <= threshold, axis=-1)
+              & np.all(np.abs(qd_new) <= threshold, axis=-1))
+        if not (ok.all() and active.all()):
+            end[active & ~ok] = k + 1
+            active &= ok
+            if not active.any():
+                break
+            # frozen runs keep their last finite state
+            q_new = np.where(active[..., None], q_new, q)
+            qd_new = np.where(active[..., None], qd_new, qd)
         q, qd = q_new, qd_new
 
-    sl = slice(0, last + 1)
-    if defer_std:
-        rec["gp_std"][sl] = controller.posterior_std(rec["q"][sl], ref_qd[sl],
-                                                     ref_qdd[sl])
-    result = SimResult(
-        t=t_arr[sl], q=rec["q"][sl], qd=rec["qd"][sl], e=rec["e"][sl],
-        ed=rec["ed"][sl], tau=rec["tau"][sl], gp_mean=rec["gp_mean"][sl],
-        gp_std=rec["gp_std"][sl], seed=run_seed, diverged=diverged,
-    )
-    if config.lyapunov_trace:
-        attach_lyapunov(result, model, controller.gains, config.lyapunov_epsilon)
-    return result
+    if not record:
+        return q, qd, active, None
+    results = []
+    for seed, idx in zip(seeds, np.ndindex(batch)):
+        rows = slice(0, int(end[idx]))
+        run = {key: rec[key][idx][rows] for key in _RECORDED}
+        if defer_std:
+            run["gp_std"][...] = controller.posterior_std(run["q"], ref_qd[rows],
+                                                          ref_qdd[rows])
+        results.append(SimResult(t=t_arr[rows], **run, seed=seed,
+                                 diverged=bool(end[idx] <= steps)))
+    return q, qd, active, results
 
 
-def _finite_state(q, qd, threshold) -> bool:
-    return bool(
-        np.all(np.isfinite(q)) and np.all(np.isfinite(qd))
-        and np.max(np.abs(q)) <= threshold and np.max(np.abs(qd)) <= threshold
-    )
-
-
-def _rk4_step(model, controller, ref, q, qd, t, dt, out0):
+def _rk4_step(model, controller, sample, q, qd, t, dt, out0):
     """One RK4 step; the controller is re-evaluated at every stage."""
 
     def rate(qs, qds, ref_s):
@@ -331,35 +351,36 @@ def _rk4_step(model, controller, ref, q, qd, t, dt, out0):
         return qds, model.forward_dynamics(qs, qds, stage_out.drift)
 
     k1q, k1v = qd, model.forward_dynamics(q, qd, out0.drift)
-    ref_mid = ref.sample(t + 0.5 * dt)  # stages 2 and 3 share their time
+    ref_mid = sample(t + 0.5 * dt)  # stages 2 and 3 share their time
     k2q, k2v = rate(q + 0.5 * dt * k1q, qd + 0.5 * dt * k1v, ref_mid)
     k3q, k3v = rate(q + 0.5 * dt * k2q, qd + 0.5 * dt * k2v, ref_mid)
-    k4q, k4v = rate(q + dt * k3q, qd + dt * k3v, ref.sample(t + dt))
+    k4q, k4v = rate(q + dt * k3q, qd + dt * k3v, sample(t + dt))
     q_new = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
     qd_new = qd + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     return q_new, qd_new
 
 
-def _em_step(model, q, qd, dt, out, rng):
-    """Euler-Maruyama with the controller held over the step.
+def simulate(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
+             config: SimConfig, seed: int | None = None,
+             q0: np.ndarray | None = None, qd0: np.ndarray | None = None) -> SimResult:
+    """Integrate one closed-loop run on the fixed grid.
 
-    diffusion=None adds no noise term at all, making the update an exact
-    explicit-Euler step.
+    The run stops with diverged=True (partial trace kept) when any state
+    component leaves [-threshold, threshold] or turns non-finite.
     """
-    qdd = model.forward_dynamics(q, qd, out.drift)
-    q_new = q + dt * qd
-    qd_new = qd + dt * qdd
-    if out.diffusion is not None:
-        xi = rng.standard_normal(qd.shape[-1])
-        h = model.mass_matrix(q)
-        kick = np.linalg.solve(h, (out.diffusion @ xi)[..., None])[..., 0]
-        qd_new = qd_new + math.sqrt(dt) * kick
-    return q_new, qd_new
+    n = model.n
+    q = np.zeros(n) if q0 is None else np.array(q0, dtype=float)
+    qd = np.zeros(n) if qd0 is None else np.array(qd0, dtype=float)
+    run_seed = config.base_seed if seed is None else seed
+    *_, (result,) = _integrate(model, controller, ref, config, q, qd, [run_seed])
+    if config.lyapunov_trace:
+        attach_lyapunov(result, model, controller.gains, config.lyapunov_epsilon)
+    return result
 
 
 def run_ensemble(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
                  config: SimConfig) -> tuple[EnsembleStats, list[SimResult]]:
-    """Integrate `realizations` runs in lockstep, seeds base_seed + i.
+    """Integrate `realizations` runs in lockstep from rest, seeds base_seed + i.
 
     Vectorized over runs; each run draws from its own generator in step
     order, so a run reproduces `simulate` with the same seed to floating
@@ -368,105 +389,28 @@ def run_ensemble(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
     and excluded from the statistics; if every run diverges a
     DivergenceError is raised.
     """
-    mode = _check_modes(controller, config)
-    n = model.n
-    runs = config.realizations
-    steps = config.steps
-    dt = config.dt
-    defer_std = _defers_std(controller, mode)
-    rngs = [np.random.default_rng(config.base_seed + i) for i in range(runs)]
+    runs, n = config.realizations, model.n
+    seeds = [config.base_seed + i for i in range(runs)]
+    *_, results = _integrate(model, controller, ref, config, np.zeros((runs, n)),
+                             np.zeros((runs, n)), seeds)
 
-    q = np.zeros((runs, n))
-    qd = np.zeros((runs, n))
-    active = np.ones(runs, dtype=bool)
-    div_step = np.full(runs, steps + 1, dtype=int)  # first invalid index
-
-    t_arr = np.arange(steps + 1) * dt
-    rec = {k: np.zeros((runs, steps + 1, n)) for k in
-           ("q", "qd", "e", "ed", "tau", "gp_mean", "gp_std")}
-    if defer_std:
-        ref_qd = np.empty((steps + 1, n))
-        ref_qdd = np.empty((steps + 1, n))
-
-    for k in range(steps + 1):
-        t = t_arr[k]
-        refk = ref.sample(t)
-        out = controller.output(JointState(q, qd), refk, include_std=not defer_std)
-        rec["q"][:, k] = q
-        rec["qd"][:, k] = qd
-        rec["e"][:, k] = q - refk.q
-        rec["ed"][:, k] = qd - refk.qd
-        rec["tau"][:, k] = out.drift
-        rec["gp_mean"][:, k] = out.gp_mean
-        if defer_std:
-            ref_qd[k] = refk.qd
-            ref_qdd[k] = refk.qdd
-        else:
-            rec["gp_std"][:, k] = out.gp_std
-        if k == steps:
-            break
-        if config.integrator == "rk4":
-            q_new, qd_new = _rk4_step(model, controller, ref, q, qd, t, dt, out)
-        else:
-            qdd = model.forward_dynamics(q, qd, out.drift)
-            q_new = q + dt * qd
-            qd_new = qd + dt * qdd
-            if out.diffusion is not None:
-                xi = np.zeros((runs, n))
-                for i in range(runs):
-                    if active[i]:
-                        xi[i] = rngs[i].standard_normal(n)
-                h = model.mass_matrix(q)
-                kick = np.linalg.solve(h, np.einsum("rij,rj->ri", out.diffusion, xi)[..., None])[..., 0]
-                qd_new = qd_new + math.sqrt(dt) * kick
-        ok = (
-            np.all(np.isfinite(q_new), axis=1)
-            & np.all(np.isfinite(qd_new), axis=1)
-            & (np.max(np.abs(np.where(np.isfinite(q_new), q_new, 0.0)), axis=1)
-               <= config.divergence_threshold)
-            & (np.max(np.abs(np.where(np.isfinite(qd_new), qd_new, 0.0)), axis=1)
-               <= config.divergence_threshold)
-        )
-        newly_dead = active & ~ok
-        div_step[newly_dead] = k + 1
-        active = active & ok
-        # frozen runs keep their last finite state
-        upd = active[:, None]
-        q = np.where(upd, q_new, q)
-        qd = np.where(upd, qd_new, qd)
-
-    results = []
-    rmse = np.full((runs, n), np.nan)
-    for i in range(runs):
-        end = min(div_step[i], steps + 1)
-        if defer_std:
-            rec["gp_std"][i, :end] = controller.posterior_std(
-                rec["q"][i, :end], ref_qd[:end], ref_qdd[:end])
-        res = SimResult(
-            t=t_arr[:end], q=rec["q"][i, :end], qd=rec["qd"][i, :end],
-            e=rec["e"][i, :end], ed=rec["ed"][i, :end], tau=rec["tau"][i, :end],
-            gp_mean=rec["gp_mean"][i, :end], gp_std=rec["gp_std"][i, :end],
-            seed=config.base_seed + i, diverged=bool(div_step[i] <= steps),
-        )
-        results.append(res)
-        if not res.diverged:
-            rmse[i] = res.rmse(0.0)
-
-    complete = [i for i in range(runs) if not results[i].diverged]
-    divergent = [i for i in range(runs) if results[i].diverged]
+    complete = [i for i, res in enumerate(results) if not res.diverged]
     if not complete:
         raise DivergenceError(f"all {runs} realizations diverged")
-    qc = rec["q"][complete]
-    qdc = rec["qd"][complete]
+    rmse = np.full((runs, n), np.nan)
+    for i in complete:
+        rmse[i] = results[i].rmse(0.0)
+    qc = np.stack([results[i].q for i in complete])
+    qdc = np.stack([results[i].qd for i in complete])
     ddof_ok = len(complete) >= 2
     stats = EnsembleStats(
-        t=t_arr,
+        t=results[complete[0]].t,
         mean_q=np.mean(qc, axis=0),
         std_q=np.std(qc, axis=0, ddof=1) if ddof_ok else np.zeros_like(qc[0]),
         mean_qd=np.mean(qdc, axis=0),
         std_qd=np.std(qdc, axis=0, ddof=1) if ddof_ok else np.zeros_like(qdc[0]),
         rmse=rmse,
-        divergent_runs=divergent,
+        divergent_runs=[i for i, res in enumerate(results) if res.diverged],
         realizations=runs,
     )
     return stats, results

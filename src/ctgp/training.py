@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .control import ControlOutput
 from .dynamics import ManipulatorModel
 from .gp import TrainingSet
-from .sim import ReferenceTrajectory, SimConfig, simulate
+from .sim import ReferenceTrajectory, SimConfig, _integrate, simulate
 
 
 @dataclass(frozen=True)
@@ -144,33 +145,16 @@ def residual_torque(est_model: ManipulatorModel, q, qd, qdd, tau_applied) -> np.
     return np.asarray(tau_applied, dtype=float) - est_model.inverse_dynamics(q, qd, qdd)
 
 
-def _rk4_constant_torque(model: ManipulatorModel, q, qd, tau, dt, steps,
-                         threshold=1e6):
-    """Batched RK4 under constant per-cell torque; returns final states and
-    a mask of cells that stayed finite and bounded."""
-    alive = np.ones(q.shape[0], dtype=bool)
-    for _ in range(steps):
-        k1v = model.forward_dynamics(q, qd, tau)
-        k1q = qd
-        k2v = model.forward_dynamics(q + 0.5 * dt * k1q, qd + 0.5 * dt * k1v, tau)
-        k2q = qd + 0.5 * dt * k1v
-        k3v = model.forward_dynamics(q + 0.5 * dt * k2q, qd + 0.5 * dt * k2v, tau)
-        k3q = qd + 0.5 * dt * k2v
-        k4v = model.forward_dynamics(q + dt * k3q, qd + dt * k3v, tau)
-        k4q = qd + dt * k3v
-        q_new = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        qd_new = qd + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        ok = (
-            np.all(np.isfinite(q_new), axis=1)
-            & np.all(np.isfinite(qd_new), axis=1)
-            & (np.max(np.abs(np.where(np.isfinite(q_new), q_new, 0.0)), axis=1) <= threshold)
-            & (np.max(np.abs(np.where(np.isfinite(qd_new), qd_new, 0.0)), axis=1) <= threshold)
-        )
-        alive &= ok
-        upd = alive[:, None]
-        q = np.where(upd, q_new, q)
-        qd = np.where(upd, qd_new, qd)
-    return q, qd, alive
+class _ConstantTorque:
+    """Open-loop policy of the grid: every cell holds its own torque."""
+
+    mode = "deterministic"
+
+    def __init__(self, tau: np.ndarray):
+        self.out = ControlOutput(drift=tau)
+
+    def output(self, state, ref, include_std=True) -> ControlOutput:
+        return self.out
 
 
 def generate_open_loop(plan: OpenLoopPlan, true_model: ManipulatorModel,
@@ -186,8 +170,9 @@ def generate_open_loop(plan: OpenLoopPlan, true_model: ManipulatorModel,
     taus = np.repeat(plan.torques, plan.positions.size)[:, None]
     q = np.tile(plan.positions, plan.torques.size)[:, None]
     qd = np.zeros_like(q)
-    steps = int(round(plan.hold_duration / plan.dt))
-    q, qd, alive = _rk4_constant_torque(true_model, q, qd, taus, plan.dt, steps)
+    hold = SimConfig(dt=plan.dt, duration=plan.hold_duration)
+    q, qd, alive, _ = _integrate(true_model, _ConstantTorque(taus), None, hold,
+                                 q, qd, None)
 
     qdd = true_model.forward_dynamics(q, qd, taus)
     q_meas, qd_meas = q.copy(), qd.copy()

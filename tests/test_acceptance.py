@@ -216,7 +216,7 @@ class _FreeSwing:
 
     def output(self, state, ref, include_std=True):
         tau = np.zeros(state.q.shape)
-        return ControlOutput(torque=tau, drift=tau)
+        return ControlOutput(drift=tau)
 
 
 def test_criterion_4_integrator_orders(request):

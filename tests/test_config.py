@@ -378,6 +378,18 @@ def test_load_scenario_from_yaml_file(tmp_path):
     assert s.name == "wing-mini"
 
 
+@pytest.mark.parametrize("name", ["wing\nct run", "wing ct run", "wing\tct"])
+def test_scenario_name_with_whitespace_rejected(tmp_path, name):
+    # the name is a manifest value: a newline split the manifest line and a
+    # space truncated it on reading back
+    raw = _wing_raw()
+    raw["name"] = name
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ConfigError, match="scenario.name"):
+        load_scenario(path)
+
+
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_scenario(tmp_path / "absent.yaml")

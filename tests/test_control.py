@@ -64,7 +64,7 @@ def test_gains_sigma_min_non_diagonal():
 def test_pd_zero_error_zero_torque():
     out = pd_control(Gains.diagonal([800.0, 600.0], [5.0, 5.0]),
                      JointState(np.zeros(2), np.zeros(2)), _ref(2))
-    assert np.array_equal(out.torque, np.zeros(2))
+    assert np.array_equal(out.drift, np.zeros(2))
     assert out.diffusion is None
     assert np.array_equal(out.gp_mean, np.zeros(2))
 
@@ -73,19 +73,19 @@ def test_pd_high_gain_frozen_value():
     # Kp = diag(800, 600), e = (0.1, 0), ed = 0
     out = pd_control(Gains.diagonal([800.0, 600.0], [5.0, 5.0]),
                      JointState(np.array([0.1, 0.0]), np.zeros(2)), _ref(2))
-    assert out.torque == pytest.approx(np.array([-80.0, 0.0]), abs=1e-12)
+    assert out.drift == pytest.approx(np.array([-80.0, 0.0]), abs=1e-12)
 
 
 def test_pd_low_gain_frozen_value():
     out = pd_control(Gains.diagonal([20.0, 15.0], [5.0, 5.0]),
                      JointState(np.array([0.1, 0.0]), np.zeros(2)), _ref(2))
-    assert out.torque == pytest.approx(np.array([-2.0, 0.0]), abs=1e-12)
+    assert out.drift == pytest.approx(np.array([-2.0, 0.0]), abs=1e-12)
 
 
 def test_pd_damping_term():
     out = pd_control(Gains.diagonal([0.001, 0.001], [5.0, 5.0]),
                      JointState(np.zeros(2), np.array([2.0, -1.0])), _ref(2))
-    assert out.torque == pytest.approx(np.array([-10.0, 5.0]), abs=1e-9)
+    assert out.drift == pytest.approx(np.array([-10.0, 5.0]), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def test_computed_torque_pendulum_frozen_value():
     # at rest on a zero reference with qdd_d = 1: tau = 0.9 * 1
     out = computed_torque(PendulumEstimate(), Gains.diagonal([5.0], [5.0]),
                           JointState(np.zeros(1), np.zeros(1)), _ref(1, qdd=1.0))
-    assert out.torque[0] == pytest.approx(0.9, abs=1e-12)
+    assert out.drift[0] == pytest.approx(0.9, abs=1e-12)
 
 
 def test_computed_torque_zero_reference_outputs_static_compensation():
@@ -104,7 +104,7 @@ def test_computed_torque_zero_reference_outputs_static_compensation():
                      viscous=0.0, coulomb=0.0)
     out = computed_torque(est, Gains.diagonal([20.0, 15.0], [5.0, 5.0]),
                           JointState(np.zeros(2), np.zeros(2)), _ref(2))
-    assert np.array_equal(out.torque, est.gravity_vector(np.zeros(2)))
+    assert np.array_equal(out.drift, est.gravity_vector(np.zeros(2)))
 
 
 def test_computed_torque_perfect_model_reproduces_desired_acceleration():
@@ -119,7 +119,7 @@ def test_computed_torque_perfect_model_reproduces_desired_acceleration():
         qdd = rng.uniform(-5.0, 5.0, 2)
         ref = ReferenceSample(q=q, qd=qd, qdd=qdd)
         out = computed_torque(model, gains, JointState(q, qd), ref)
-        assert model.forward_dynamics(q, qd, out.torque) == pytest.approx(
+        assert model.forward_dynamics(q, qd, out.drift) == pytest.approx(
             qdd, abs=1e-10)
 
 
@@ -134,7 +134,7 @@ def test_computed_torque_uses_measured_velocity_in_coriolis():
     expected = (model.coriolis_matrix(q, qd) @ ref.qd
                 + model.gravity_vector(q))
     # feedback contributes < 1e-8 through the epsilon gains
-    assert out.torque == pytest.approx(expected, abs=1e-8)
+    assert out.drift == pytest.approx(expected, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def test_ct_gp_without_data_matches_computed_torque_bitwise():
     base = computed_torque(est, gains, state, ref)
     for gp in (None, MultiGP.empty(3, 1)):
         out = ct_gp_control(est, gp, gains, state, ref)
-        assert np.array_equal(out.torque, base.torque)
+        assert np.array_equal(out.drift, base.drift)
         assert out.diffusion is None
         assert np.array_equal(out.gp_std, np.zeros(1))
 
@@ -196,7 +196,7 @@ def test_ct_gp_dense_training_compensates_residual():
     out = ct_gp_control(est, gp, gains, state, ref)
     base = computed_torque(est, gains, state, ref)
     residual = 0.1 * 0.6 + 0.981 * math.sin(0.5)
-    assert out.torque[0] == pytest.approx(base.torque[0] + residual, abs=2e-3)
+    assert out.drift[0] == pytest.approx(base.drift[0] + residual, abs=2e-3)
     assert out.gp_mean[0] == pytest.approx(residual, abs=2e-3)
 
 
@@ -209,7 +209,7 @@ def test_ct_gp_stochastic_shares_drift_with_deterministic():
     det = ct_gp_control(est, gp, gains, state, ref, mode="deterministic")
     sto = ct_gp_control(est, gp, gains, state, ref, mode="stochastic")
     assert np.array_equal(sto.drift, det.drift)
-    assert np.array_equal(sto.torque, sto.drift)
+    assert not hasattr(sto, "torque")  # the drift is the only torque
     assert sto.diffusion.shape == (1, 1)
     assert sto.diffusion[0, 0] == sto.gp_std[0] >= 0.0
     # diagonal diffusion: no cross terms by construction
@@ -229,7 +229,7 @@ def test_ct_gp_skipping_std_keeps_the_mean():
     ref = _ref(1, qdd=0.3)
     full = ct_gp_control(est, gp, gains, state, ref, include_std=True)
     lean = ct_gp_control(est, gp, gains, state, ref, include_std=False)
-    assert np.array_equal(lean.torque, full.torque)
+    assert np.array_equal(lean.drift, full.drift)
     assert np.array_equal(lean.gp_std, np.zeros(1))
     assert full.gp_std[0] > 0.0
 
@@ -242,10 +242,10 @@ def test_ct_gp_continuous_in_position():
     ref = _ref(1, qdd=0.5)
     delta = 1e-6
     t0 = ct_gp_control(est, gp, gains,
-                       JointState(np.array([0.4]), np.zeros(1)), ref).torque[0]
+                       JointState(np.array([0.4]), np.zeros(1)), ref).drift[0]
     t1 = ct_gp_control(est, gp, gains,
                        JointState(np.array([0.4 + delta]), np.zeros(1)),
-                       ref).torque[0]
+                       ref).drift[0]
     quotient = abs(t1 - t0) / delta
     assert math.isfinite(quotient)
     assert quotient < 1e3
@@ -256,15 +256,15 @@ def test_controller_objects_match_free_functions():
     gains = Gains.diagonal([5.0], [5.0])
     state = JointState(np.array([0.3]), np.array([0.1]))
     ref = _ref(1, qdd=0.2)
-    assert np.array_equal(PDController(gains).output(state, ref).torque,
-                          pd_control(gains, state, ref).torque)
+    assert np.array_equal(PDController(gains).output(state, ref).drift,
+                          pd_control(gains, state, ref).drift)
     assert np.array_equal(
-        ComputedTorqueController(est, gains).output(state, ref).torque,
-        computed_torque(est, gains, state, ref).torque)
+        ComputedTorqueController(est, gains).output(state, ref).drift,
+        computed_torque(est, gains, state, ref).drift)
     gp = _wing_residual_gp()
     assert np.array_equal(
-        CTGPController(est, gp, gains).output(state, ref).torque,
-        ct_gp_control(est, gp, gains, state, ref).torque)
+        CTGPController(est, gp, gains).output(state, ref).drift,
+        ct_gp_control(est, gp, gains, state, ref).drift)
     assert PDController(gains).mode == "deterministic"
 
 
@@ -277,7 +277,7 @@ def test_build_gp_input_stacking_order():
 
 
 def test_control_output_defaults_zero_traces():
-    out = ControlOutput(torque=np.ones(2), drift=np.ones(2))
+    out = ControlOutput(drift=np.ones(2))
     assert np.array_equal(out.gp_mean, np.zeros(2))
     assert np.array_equal(out.gp_std, np.zeros(2))
     assert out.diffusion is None

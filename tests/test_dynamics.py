@@ -63,6 +63,17 @@ def test_wing_mass_matrix_is_constant_unit_inertia():
         assert np.array_equal(model.mass_matrix(q), np.array([[1.0]]))
 
 
+def test_constant_inertia_pair_shared_by_the_one_dof_models():
+    # one pair of functions, assigned in each class body: per-class method
+    # instrumentation reads them from the class's own namespace
+    for name in ("mass_matrix", "coriolis_matrix"):
+        assert WingModel.__dict__[name] is PendulumEstimate.__dict__[name]
+    est = PendulumEstimate(inertia=0.9)
+    q = np.zeros((4, 1))
+    assert np.array_equal(est.mass_matrix(q), np.full((4, 1, 1), 0.9))
+    assert np.array_equal(est.coriolis_matrix(q, q), np.zeros((4, 1, 1)))
+
+
 def test_arm_mass_matrix_straight_configuration_values():
     """Frozen closed-form entries at q2 = 0 (hand evaluation).
 

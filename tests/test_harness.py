@@ -426,6 +426,22 @@ def test_cli_unbounded_record_exits_1_before_allocating(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["wing\nct run", "wing ct run"])
+def test_cli_scenario_name_with_whitespace_exits_1(tmp_path, capsys, name):
+    # a run without a GP, which would otherwise complete and write the name
+    # into the manifest lines
+    raw = _wing_raw()
+    del raw["training"]
+    raw["controller"] = {"kind": "ct", "kp": [5.0], "kd": [5.0]}
+    raw["name"] = name
+    cfg = _write_cfg(tmp_path, raw)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: scenario.name")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("table", [2, [1, 2], "directory"])
 def test_cli_bad_aero_table_exits_1_with_a_message(tmp_path, table):
     # a child process, because opening the integer 2 as a path would close

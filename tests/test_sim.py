@@ -30,7 +30,7 @@ class _ZeroController:
 
     def output(self, state, ref, include_std=True):
         tau = np.zeros(state.q.shape)
-        return ControlOutput(torque=tau, drift=tau)
+        return ControlOutput(drift=tau)
 
 
 def _pendulum() -> WingModel:
@@ -116,6 +116,8 @@ def test_sim_config_validation():
         SimConfig(integrator="verlet")
     with pytest.raises(ValueError):
         SimConfig(realizations=0)
+    with pytest.raises(ValueError, match="divergence_threshold"):
+        SimConfig(divergence_threshold=math.inf)
     assert SimConfig(dt=1e-3, duration=2.5).steps == 2500
 
 
@@ -150,6 +152,15 @@ def test_simulate_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         simulate(_pendulum(), _ZeroController(), _still_ref(n=2),
                  SimConfig(duration=0.01))
+
+
+def test_ensemble_rejects_dimension_mismatch():
+    arm = TwoLinkArm()
+    ctl = ComputedTorqueController(arm.rigid_estimate(),
+                                   Gains.diagonal([20.0, 15.0], [5.0, 5.0]))
+    with pytest.raises(ValueError, match="dimension"):
+        run_ensemble(arm, ctl, _still_ref(n=1),
+                     SimConfig(duration=0.01, realizations=2))
 
 
 # ---------------------------------------------------------------------------
@@ -444,18 +455,43 @@ def test_divergent_run_keeps_partial_trace():
     assert np.all(np.abs(res.q) <= config.divergence_threshold)
 
 
+class _ShiftedRunaway(_RunawayModel):
+    """The anti-spring centred at q = -1: a run from rest escapes."""
+
+    def gravity_vector(self, q, qd=None):
+        return super().gravity_vector(q + 1.0, qd)
+
+
 def test_ensemble_raises_when_every_run_diverges():
     config = SimConfig(dt=1e-3, duration=2.0, integrator="euler-maruyama",
                        realizations=3)
     ctl = CTGPController(_RunawayModel(), _tiny_wing_gp(),
                          Gains.diagonal([1e-6], [1e-6]), mode="stochastic")
-
-    class _Shifted(_RunawayModel):
-        def gravity_vector(self, q, qd=None):
-            return super().gravity_vector(q + 1.0, qd)
-
     with np.errstate(all="ignore"), pytest.raises(DivergenceError):
-        run_ensemble(_Shifted(), ctl, _still_ref(), config)
+        run_ensemble(_ShiftedRunaway(), ctl, _still_ref(), config)
+
+
+def test_ensemble_stops_once_every_run_diverged(monkeypatch):
+    calls = []
+    output = _ZeroController.output
+
+    def count_output(self, *args, **kwargs):
+        calls.append(1)
+        return output(self, *args, **kwargs)
+
+    monkeypatch.setattr(_ZeroController, "output", count_output)
+    model, config = _ShiftedRunaway(), SimConfig(dt=1e-3, duration=2.0,
+                                                 realizations=3)
+    with np.errstate(all="ignore"):
+        solo = simulate(model, _ZeroController(), _still_ref(), config)
+    rows = solo.t.shape[0]
+    assert solo.diverged and rows < config.steps + 1
+    assert len(calls) == 4 * rows
+    calls.clear()
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+        run_ensemble(model, _ZeroController(), _still_ref(), config)
+    # the identical runs leave the bound at the same step; no output after it
+    assert len(calls) == 4 * rows
 
 
 # ---------------------------------------------------------------------------
