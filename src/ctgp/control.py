@@ -16,11 +16,11 @@ batch axes of the state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import JointState, ManipulatorModel
+from .dynamics import JointState, ManipulatorModel, _assemble, _dot2, _parts
 from .gp import MultiGP
 
 
@@ -34,11 +34,14 @@ class ControlError(Exception):
 
 
 def _mat_vec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,...j->...i", m, v)
-
-
-def _model_mat_vec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("...ij,...j->...i", m, v)
+    """einsum("ij,...j->...i", m, v); in closed form for n <= 2, with
+    einsum's bits (the products summed onto +0.0)."""
+    if m.shape[0] == 1:
+        return m[0, 0] * v + 0.0
+    if m.shape[0] > 2:
+        return np.einsum("ij,...j->...i", m, v)
+    v0, v1 = _parts(v)
+    return _assemble([_dot2(m0, v0, m1, v1) for m0, m1 in m.tolist()], v.shape)
 
 
 @dataclass(frozen=True)
@@ -85,26 +88,48 @@ class ReferenceSample:
     qdd: np.ndarray
 
 
-@dataclass
 class ControlOutput:
     """Controller output: the drift (commanded) torque and the diffusion.
 
     diffusion is None for deterministic laws (no stochastic term at all) and
     a diagonal (..., n, n) matrix of posterior standard deviations in
-    stochastic mode.  gp_mean/gp_std are recorded for tracing and are zero
-    for laws without a GP.
+    stochastic mode.  gp_mean/gp_std are recorded for tracing and read as
+    zeros for laws without a GP; those zeros are made on first read, so an
+    output nobody reads them from allocates none (`traces`).
     """
 
-    drift: np.ndarray
-    diffusion: np.ndarray | None = None
-    gp_mean: np.ndarray = field(default=None)  # type: ignore[assignment]
-    gp_std: np.ndarray = field(default=None)   # type: ignore[assignment]
+    __slots__ = ("drift", "diffusion", "_gp_mean", "_gp_std")
 
-    def __post_init__(self):
-        if self.gp_mean is None:
-            self.gp_mean = np.zeros_like(self.drift)
-        if self.gp_std is None:
-            self.gp_std = np.zeros_like(self.drift)
+    def __init__(self, drift: np.ndarray, diffusion: np.ndarray | None = None,
+                 gp_mean: np.ndarray | None = None, gp_std: np.ndarray | None = None):
+        self.drift = drift
+        self.diffusion = diffusion
+        self._gp_mean = gp_mean
+        self._gp_std = gp_std
+
+    @property
+    def gp_mean(self) -> np.ndarray:
+        if self._gp_mean is None:
+            self._gp_mean = np.zeros_like(self.drift)
+        return self._gp_mean
+
+    @gp_mean.setter
+    def gp_mean(self, value: np.ndarray) -> None:
+        self._gp_mean = value
+
+    @property
+    def gp_std(self) -> np.ndarray:
+        if self._gp_std is None:
+            self._gp_std = np.zeros_like(self.drift)
+        return self._gp_std
+
+    @gp_std.setter
+    def gp_std(self, value: np.ndarray) -> None:
+        self._gp_std = value
+
+    def traces(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(gp_mean, gp_std) as the law set them: None where it set none."""
+        return self._gp_mean, self._gp_std
 
 
 def build_gp_input(qdd_d: np.ndarray, qd_d: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -136,15 +161,13 @@ def computed_torque(est_model: ManipulatorModel, gains: Gains, state: JointState
     C_hat is evaluated at the measured velocity but multiplies the desired
     one; g_hat is position-only.
     """
-    e = state.q - ref.q
-    ed = state.qd - ref.qd
-    h = est_model.mass_matrix(state.q)
-    c = est_model.coriolis_matrix(state.q, state.qd)
-    g = est_model.gravity_vector(state.q)
+    q, qd = state.q, state.qd
+    e = q - ref.q
+    ed = qd - ref.qd
     tau = (
-        _model_mat_vec(h, ref.qdd)
-        + _model_mat_vec(c, ref.qd)
-        + g
+        est_model.mass_times(q, ref.qdd)
+        + est_model.coriolis_times(q, qd, ref.qd)
+        + est_model.gravity_vector(q)
         - _mat_vec(gains.kd, ed)
         - _mat_vec(gains.kp, e)
     )
@@ -323,10 +346,8 @@ def estimate_error_bound(
     qdd_d = _uniform_ball(rng, probe_count, n, c_qdd)
 
     def generalized(model, with_qd):
-        h = model.mass_matrix(q)
-        c = model.coriolis_matrix(q, qd)
         g = model.gravity_vector(q, qd if with_qd else None)
-        return _model_mat_vec(h, qdd_d) + _model_mat_vec(c, qd_d) + g
+        return model.mass_times(q, qdd_d) + model.coriolis_times(q, qd, qd_d) + g
 
     residual = generalized(true_model, True) - generalized(est_model, False)
     r = np.linalg.norm(residual, axis=1)

@@ -13,6 +13,15 @@ The Coriolis matrices use the Christoffel-symbol construction, so
 Hdot - 2C is skew-symmetric and C(q, a) b = C(q, b) a; forward dynamics
 factorizes H instead of inverting it.  All model methods accept batched
 configurations: (..., n) in, (..., n) or (..., n, n) out.
+
+The products H(q) v and C(q, qd) v and the spring torque are computed per
+component in closed form, without building the matrices: for one state the
+components are Python floats, so a product costs no numpy call per
+operation, and for a batch they are views.  Each component sees the same
+IEEE operations, on the same operands and in the same order, as the
+`einsum` over the matrix it replaces, including einsum's accumulation onto
++0.0 (two -0.0 products sum to +0.0).  The 2x2 mass matrix is still solved
+by LAPACK: no closed form without fused multiply-adds reproduces its bits.
 """
 
 from __future__ import annotations
@@ -43,9 +52,61 @@ class JointState:
         if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.qd))):
             raise ValueError("joint state contains non-finite values")
 
+    @classmethod
+    def _unchecked(cls, q: np.ndarray, qd: np.ndarray) -> "JointState":
+        """A state of float arrays the caller has checked: no copy, no check."""
+        state = object.__new__(cls)
+        state.q = q
+        state.qd = qd
+        return state
+
 
 def _mat_vec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j->...i", m, v)
+
+
+def _parts(x: np.ndarray) -> list:
+    """Components of (..., n) values along the last axis: Python floats for
+    one state, views for a batch."""
+    return x.tolist() if x.ndim == 1 else [x[..., j] for j in range(x.shape[-1])]
+
+
+def _shape(*arrays) -> tuple:
+    """The broadcast shape of arrays; the common shape needs no broadcast."""
+    shape = arrays[0].shape
+    if all(a.shape == shape for a in arrays[1:]):
+        return shape
+    return np.broadcast_shapes(*(a.shape for a in arrays))
+
+
+def _assemble(parts, shape) -> np.ndarray:
+    """The (..., n) array of components from _parts-style arithmetic."""
+    out = np.empty(shape)
+    for j, part in enumerate(parts):
+        out[..., j] = part
+    return out
+
+
+def _dot2(a0, b0, a1, b1):
+    """a0 b0 + a1 b1 with einsum's bits: einsum sums onto +0.0, so two -0.0
+    products give +0.0."""
+    return a0 * b0 + a1 * b1 + 0.0
+
+
+def _where(cond, a, b):
+    """np.where where any argument is an array, a plain choice for scalars."""
+    if (isinstance(cond, np.ndarray) or isinstance(a, np.ndarray)
+            or isinstance(b, np.ndarray)):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _scalar_or_array(x):
+    """A Python float for a scalar or 0-d input, a float array otherwise."""
+    if isinstance(x, float):
+        return x
+    x = np.asarray(x, dtype=float)
+    return float(x) if x.ndim == 0 else x
 
 
 class ManipulatorModel(abc.ABC):
@@ -69,22 +130,32 @@ class ManipulatorModel(abc.ABC):
         require qd; models without such terms ignore qd.
         """
 
+    def mass_times(self, q, v) -> np.ndarray:
+        """H(q) v, (..., n) -> (..., n)."""
+        return _mat_vec(self.mass_matrix(q), v)
+
+    def coriolis_times(self, q, qd, v) -> np.ndarray:
+        """C(q, qd) v, (..., n) -> (..., n)."""
+        return _mat_vec(self.coriolis_matrix(q, qd), v)
+
+    def solve_mass(self, q, rhs) -> np.ndarray:
+        """H(q)^-1 rhs by LU factorization; a singular H raises DynamicsError."""
+        try:
+            return np.linalg.solve(self.mass_matrix(q), rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError as err:
+            raise DynamicsError(f"mass matrix solve failed: {err}") from err
+
     def inverse_dynamics(self, q, qd, qdd) -> np.ndarray:
-        h = self.mass_matrix(q)
-        c = self.coriolis_matrix(q, qd)
-        return _mat_vec(h, qdd) + _mat_vec(c, qd) + self.gravity_vector(q, qd)
+        return (self.mass_times(q, qdd) + self.coriolis_times(q, qd, qd)
+                + self.gravity_vector(q, qd))
 
     def forward_dynamics(self, q, qd, tau) -> np.ndarray:
         """qdd = H(q)^-1 (tau - C qd - g), by factorization of H."""
         q = np.asarray(q, dtype=float)
         qd = np.asarray(qd, dtype=float)
         tau = np.asarray(tau, dtype=float)
-        h = self.mass_matrix(q)
-        rhs = tau - _mat_vec(self.coriolis_matrix(q, qd), qd) - self.gravity_vector(q, qd)
-        try:
-            return np.linalg.solve(h, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError as err:
-            raise DynamicsError(f"mass matrix solve failed: {err}") from err
+        rhs = tau - self.coriolis_times(q, qd, qd) - self.gravity_vector(q, qd)
+        return self.solve_mass(q, rhs)
 
     def kinetic_energy(self, q, qd) -> np.ndarray:
         h = self.mass_matrix(q)
@@ -125,8 +196,9 @@ class AeroTable:
 
     def coefficients(self, alpha_rad):
         """(cl, cd) at angle(s) of attack in radians, wrapped to [-pi, pi)."""
-        alpha_rad = np.asarray(alpha_rad, dtype=float)
-        if not np.all(np.isfinite(alpha_rad)):
+        alpha_rad = _scalar_or_array(alpha_rad)
+        if not (math.isfinite(alpha_rad) if isinstance(alpha_rad, float)
+                else np.isfinite(alpha_rad).all()):
             raise DynamicsError("angle of attack non-finite")
         wrapped = np.degrees((alpha_rad + math.pi) % (2.0 * math.pi) - math.pi)
         cl = np.interp(wrapped, self.alpha_deg, self.cl)
@@ -188,45 +260,69 @@ def aero_torque(table: AeroTable, q, airspeed: float, *, air_density: float = 1.
     includes the chord-point velocity l*qd and both the angle of attack and
     the dynamic pressure follow from it.
     """
-    q = np.asarray(q, dtype=float)
+    # one state's angle is a Python float, so its arithmetic costs no numpy
+    # call; the stationary wind is one scalar for every angle of a batch
+    q = _scalar_or_array(q)
     if apparent_wind and qd is not None:
-        qd = np.asarray(qd, dtype=float)
+        qd = _scalar_or_array(qd)
         wx = airspeed + lever * qd * np.sin(q)
         wy = -lever * qd * np.cos(q)
         speed2 = wx * wx + wy * wy
         gamma = np.arctan2(wy, wx)
         alpha = q - gamma
     else:
-        speed2 = np.broadcast_to(float(airspeed) ** 2, q.shape).copy()
+        speed2 = float(airspeed) ** 2
         wx = np.sqrt(speed2)
-        wy = np.zeros_like(q)
+        wy = 0.0
         alpha = q
     cl, cd = table.coefficients(alpha)
     qbar_s = 0.5 * air_density * speed2 * chord * span
     lift = qbar_s * cl
     drag = qbar_s * cd
     speed = np.sqrt(speed2)
-    safe = np.where(speed > 1e-12, speed, 1.0)
+    safe = _where(speed > 1e-12, speed, 1.0)
     ux, uy = wx / safe, wy / safe
     fx = drag * ux + lift * (-uy)
     fy = drag * uy + lift * ux
     torque = lever * (np.cos(q) * fy - np.sin(q) * fx)
-    torque = np.where(speed > 1e-12, torque, 0.0)
+    torque = _where(speed > 1e-12, torque, 0.0)
     return -torque
 
 
 def _constant_inertia(self, q):
     """1x1 inertia `self.inertia` at every configuration (1-dof models)."""
     q = np.asarray(q, dtype=float)
-    out = np.zeros(q.shape[:-1] + (1, 1))
-    out[..., 0, 0] = self.inertia
-    return out
+    return np.full(q.shape[:-1] + (1, 1), float(self.inertia))
 
 
 def _no_coriolis(self, q, qd):
     """Zero Coriolis matrix: a constant 1x1 inertia has no Christoffel terms."""
     q = np.asarray(q, dtype=float)
     return np.zeros(q.shape[:-1] + (1, 1))
+
+
+def _scaled_onto_zero(scale, q, v):
+    """scale * v summed onto +0.0, the bits of a 1x1 einsum, over q's batch."""
+    q = np.asarray(q, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return _assemble([scale * x + 0.0 for x in _parts(v)], _shape(q, v))
+
+
+def _constant_inertia_times(self, q, v):
+    """H v for the constant 1x1 inertia."""
+    return _scaled_onto_zero(self.inertia, q, v)
+
+
+def _no_coriolis_times(self, q, qd, v):
+    """C v = 0 v: +0.0 for finite v, NaN for non-finite v, as the einsum gives."""
+    return _scaled_onto_zero(0.0, q, v)
+
+
+def _constant_inertia_solve(self, q, rhs):
+    """rhs / inertia: the bits LAPACK's 1x1 solve gives, without its call."""
+    if self.inertia == 0.0:
+        raise DynamicsError("mass matrix solve failed: Singular matrix")
+    return np.asarray(rhs, dtype=float) / self.inertia
 
 
 @dataclass(frozen=True)
@@ -252,17 +348,20 @@ class WingModel(ManipulatorModel):
 
     mass_matrix = _constant_inertia
     coriolis_matrix = _no_coriolis
+    mass_times = _constant_inertia_times
+    coriolis_times = _no_coriolis_times
+    solve_mass = _constant_inertia_solve
 
     def gravity_vector(self, q, qd=None):
         q = np.asarray(q, dtype=float)
         g = self.mass * self.gravity * self.lever * np.sin(q)
         if self.airspeed != 0.0 or (self.apparent_wind and qd is not None):
-            qd1 = None if qd is None else np.asarray(qd, dtype=float)[..., 0]
-            g = g + aero_torque(
-                self.aero_table, q[..., 0], self.airspeed,
+            qd1 = None if qd is None else _parts(np.asarray(qd, dtype=float))[0]
+            g = g + np.asarray(aero_torque(
+                self.aero_table, _parts(q)[0], self.airspeed,
                 air_density=self.air_density, chord=self.chord, span=self.span,
                 lever=self.lever, qd=qd1, apparent_wind=self.apparent_wind,
-            )[..., None]
+            ))[..., None]
         return g
 
     def estimate(self, inertia_scale: float = 0.9,
@@ -286,6 +385,9 @@ class PendulumEstimate(ManipulatorModel):
 
     mass_matrix = _constant_inertia
     coriolis_matrix = _no_coriolis
+    mass_times = _constant_inertia_times
+    coriolis_times = _no_coriolis_times
+    solve_mass = _constant_inertia_solve
 
     def gravity_vector(self, q, qd=None):
         q = np.asarray(q, dtype=float)
@@ -338,20 +440,36 @@ class TwoLinkArm(ManipulatorModel):
 
     n = 2
 
-    def mass_matrix(self, q):
-        q = np.asarray(q, dtype=float)
-        c2 = np.cos(q[..., 1])
+    def _inertia_terms(self) -> tuple[float, float, float]:
+        """(a, b, d) with H = [[a + 2 b cos q2, d + b cos q2], [d + b cos q2, d]]."""
         a = self.m1 * self.lc1**2 + self.i1 + self.i2 + self.m2 * (
             self.l1**2 + self.lc2**2
         )
         b = self.m2 * self.l1 * self.lc2
         d = self.m2 * self.lc2**2 + self.i2
-        h = np.zeros(q.shape[:-1] + (2, 2))
+        return a, b, d
+
+    def mass_matrix(self, q):
+        q = np.asarray(q, dtype=float)
+        c2 = np.cos(q[..., 1])
+        a, b, d = self._inertia_terms()
+        h = np.empty(q.shape[:-1] + (2, 2))
         h[..., 0, 0] = a + 2.0 * b * c2
         h[..., 0, 1] = d + b * c2
         h[..., 1, 0] = d + b * c2
         h[..., 1, 1] = d
         return h
+
+    def mass_times(self, q, v):
+        q = np.asarray(q, dtype=float)
+        v = np.asarray(v, dtype=float)
+        _, q1 = _parts(q)
+        v0, v1 = _parts(v)
+        c2 = np.cos(q1)
+        a, b, d = self._inertia_terms()
+        h00 = a + 2.0 * b * c2
+        h01 = d + b * c2
+        return _assemble((_dot2(h00, v0, h01, v1), _dot2(h01, v0, d, v1)), _shape(q, v))
 
     def coriolis_matrix(self, q, qd):
         q = np.asarray(q, dtype=float)
@@ -363,6 +481,20 @@ class TwoLinkArm(ManipulatorModel):
         c[..., 0, 1] = -hcoef * (qd[..., 0] + qd[..., 1])
         c[..., 1, 0] = hcoef * qd[..., 0]
         return c
+
+    def coriolis_times(self, q, qd, v):
+        q = np.asarray(q, dtype=float)
+        qd = np.asarray(qd, dtype=float)
+        v = np.asarray(v, dtype=float)
+        _, q1 = _parts(q)
+        qd0, qd1 = _parts(qd)
+        v0, v1 = _parts(v)
+        hcoef = self.m2 * self.l1 * self.lc2 * np.sin(q1)
+        c00 = -hcoef * qd1
+        c01 = -hcoef * (qd0 + qd1)
+        c10 = hcoef * qd0
+        return _assemble((_dot2(c00, v0, c01, v1), _dot2(c10, v0, 0.0, v1)),
+                         _shape(q, qd, v))
 
     def effector_position(self, q):
         q = np.asarray(q, dtype=float)
@@ -376,7 +508,7 @@ class TwoLinkArm(ManipulatorModel):
         q = np.asarray(q, dtype=float)
         s1, c1 = np.sin(q[..., 0]), np.cos(q[..., 0])
         s12, c12 = np.sin(q[..., 0] + q[..., 1]), np.cos(q[..., 0] + q[..., 1])
-        j = np.zeros(q.shape[:-1] + (2, 2))
+        j = np.empty(q.shape[:-1] + (2, 2))
         j[..., 0, 0] = -self.l1 * s1 - self.l2 * s12
         j[..., 0, 1] = -self.l2 * s12
         j[..., 1, 0] = self.l1 * c1 + self.l2 * c12
@@ -384,30 +516,46 @@ class TwoLinkArm(ManipulatorModel):
         return j
 
     def spring_torque(self, q):
-        """Joint-torque contribution of the band, g-vector side."""
+        """Joint-torque contribution of the band, g-vector side: J(q)' f."""
+        q = np.asarray(q, dtype=float)
+        return _assemble(self._spring_parts(q), q.shape)
+
+    def _spring_parts(self, q):
+        """spring_torque's components (see _parts); zeros without a band.
+
+        f is the band force at the end effector; the effector position and
+        the Jacobian share their sines and cosines.
+        """
         if self.spring is None:
-            q = np.asarray(q, dtype=float)
-            return np.zeros(q.shape)
-        p = self.effector_position(q)
-        anchor = np.asarray(self.spring.anchor, dtype=float)
-        delta = p - anchor
-        dist = np.linalg.norm(delta, axis=-1)
+            return [0.0, 0.0]
+        q0, q1 = _parts(q)
+        s1, c1 = np.sin(q0), np.cos(q0)
+        s12, c12 = np.sin(q0 + q1), np.cos(q0 + q1)
+        x = self.l1 * c1 + self.l2 * c12  # also the Jacobian's (1, 0) entry
+        y = self.l1 * s1 + self.l2 * s12
+        ax, ay = (float(v) for v in self.spring.anchor)
+        dx, dy = x - ax, y - ay
+        dist = np.sqrt(dx * dx + dy * dy)
         stretch = dist - self.spring.rest_length
         magnitude = self.spring.k1 * stretch + self.spring.k3 * stretch**3
-        safe = np.where(dist > 1e-9, dist, 1.0)
-        unit = delta / safe[..., None]
-        force = np.where(dist[..., None] > 1e-9, unit * magnitude[..., None], 0.0)
-        jac = self.effector_jacobian(q)
-        return np.einsum("...ji,...j->...i", jac, force)
+        far = dist > 1e-9
+        safe = _where(far, dist, 1.0)
+        fx = _where(far, dx / safe * magnitude, 0.0)
+        fy = _where(far, dy / safe * magnitude, 0.0)
+        j00 = -self.l1 * s1 - self.l2 * s12
+        j01 = -self.l2 * s12
+        j11 = self.l2 * c12
+        return [_dot2(j00, fx, x, fy), _dot2(j01, fx, j11, fy)]
 
     def gravity_vector(self, q, qd=None):
         q = np.asarray(q, dtype=float)
-        g = self.spring_torque(q)
-        if qd is not None and (self.viscous != 0.0 or self.coulomb != 0.0):
-            qd = np.asarray(qd, dtype=float)
-            g = g + self.viscous * qd
-            g = g + self.coulomb * np.tanh(qd / self.coulomb_velocity_scale)
-        return g
+        g = self._spring_parts(q)
+        if qd is None or (self.viscous == 0.0 and self.coulomb == 0.0):
+            return _assemble(g, q.shape)
+        qd = np.asarray(qd, dtype=float)
+        coulomb = _parts(np.tanh(qd / self.coulomb_velocity_scale))
+        return _assemble([gj + self.viscous * vj + self.coulomb * cj
+                          for gj, vj, cj in zip(g, _parts(qd), coulomb)], _shape(q, qd))
 
     def rigid_estimate(self) -> "TwoLinkArm":
         """Friction-free, band-free copy (the rigid-body CAD model)."""

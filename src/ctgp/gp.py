@@ -219,7 +219,7 @@ def kernel_eval(x, x_prime, hp: Hyperparameters) -> float:
 
 def _sq_norms(a: np.ndarray) -> np.ndarray:
     """Squared norms of the rows of a (p, d)."""
-    return np.sum(a * a, axis=1)
+    return np.add.reduce(a * a, axis=1)  # np.sum's reduction, without its wrapper
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray,
@@ -378,7 +378,7 @@ class MultiGP:
             raise ValueError(
                 f"query dimension {x.shape} incompatible with input_dim {self.input_dim}"
             )
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise ValueError("query contains non-finite values")
         return q, single
 
@@ -391,8 +391,9 @@ class MultiGP:
     def predict_mean(self, x: np.ndarray) -> np.ndarray:
         """Mean at a (d,) query -> (n,), or (b, d) queries -> (b, n)."""
         q, single = self._check_query(x)
-        out = np.stack([ks @ c.weights for c, ks in
-                        zip(self.components, self._cross_kernels(q))], axis=-1)
+        out = np.empty((q.shape[0], self.output_dim))
+        for j, (c, ks) in enumerate(zip(self.components, self._cross_kernels(q))):
+            out[:, j] = ks @ c.weights
         return out[0] if single else out
 
     def predict_var(self, x: np.ndarray) -> np.ndarray:

@@ -6,21 +6,39 @@ leading batch shape: () for `simulate`, (runs,) for `run_ensemble` and
 (cells,) for the open-loop training grid, which drives it with a
 constant-torque policy and records nothing.  A single run stays unbatched
 because the model functions do not give the same bits at every batch shape
-(TwoLinkArm.gravity_vector at (1, 2) differs from (2,) in the last bits), and
-a single run must reproduce its own past trajectories exactly.
+(TwoLinkArm.spring_torque's stretch**3 is a C pow for one state and numpy's
+array power for a batch), and a single run must reproduce its own past
+trajectories exactly.
 
 Deterministic runs use classic fixed-step RK4 with the controller evaluated
-at every stage; the reference is sampled once at the midpoint for stages 2
-and 3.  Stochastic runs use Euler-Maruyama: the controller output is held
-over the step, the drift torque drives the rigid-body dynamics, and the
-diagonal diffusion (GP posterior std) enters the velocity update through
+at every stage.  Stochastic runs use Euler-Maruyama: the controller output
+is held over the step, the drift torque drives the rigid-body dynamics, and
+the diagonal diffusion (GP posterior std) enters the velocity update through
 H(q)^-1 scaled by sqrt(dt).  A controller that reports no diffusion at all
 makes the Euler-Maruyama update an exact explicit-Euler step (no noise term
 is added, no random numbers are drawn).
 
+The step path does each floating-point operation of the plain RK4
+expression, on the same operands and in the same order, and spends nothing
+else per stage:
+- Validation happens once, at the run boundary: `_integrate` checks the
+  start state with `JointState`, and the stages hand the controller
+  unchecked `JointState`s.  The public `JointState(q, qd)` keeps its checks.
+- The reference is sampled into arrays, REFERENCE_BLOCK steps at a time,
+  at t_k, at t_k + dt/2 (stages 2 and 3) and at t_k + dt (stage 4); a
+  vectorized sample gives the bits of the per-time one.  Stage 4 uses
+  t_k + dt, not t_(k+1) = (k+1) dt: the two are different floats in 31% of
+  the steps of a 12 s run at dt = 1 ms.
+- The model functions form H v, C v and the spring torque in closed form
+  (see `dynamics`).  The 2x2 mass matrix is still solved by LAPACK: the
+  only closed form that matched OpenBLAS's bits needs fused multiply-adds.
+  The 1x1 solve is a division, which gives LAPACK's bits.
+
 A run diverges when a state component turns non-finite or leaves
-[-divergence_threshold, divergence_threshold]: it freezes at its last state,
-keeps its rows up to that state, and the loop stops once no run is active.
+[-divergence_threshold, divergence_threshold] at the end of a step, or when
+an RK4 stage state turns non-finite inside it: either way the run diverged
+at that step.  It freezes at its last state, keeps its rows up to that
+state, and the loop stops once no run is active.
 
 A deterministic law uses the GP only through its posterior mean, so a
 deterministic run of a controller with a `posterior_std` method (CT-GP)
@@ -88,9 +106,11 @@ class ReferenceTrajectory:
             return 2.0 * math.pi * self.frequency
         return self.frequency
 
-    def sample(self, t: float) -> ReferenceSample:
+    def sample(self, t) -> ReferenceSample:
+        """q_d, qd_d, qdd_d at time t: (n,) each for a scalar t, (*t.shape, n)
+        for an array of times, each row with the bits of its scalar call."""
         w = self.omega
-        arg = w * t + self.phase
+        arg = w * np.asarray(t, dtype=float)[..., None] + self.phase
         s, c = np.sin(arg), np.cos(arg)
         return ReferenceSample(
             q=self.amplitude * s,
@@ -107,6 +127,10 @@ class ReferenceTrajectory:
             float(np.linalg.norm(self.amplitude * w**2)),
         )
 
+
+# Steps of reference samples the loop holds at a time: the samples are taken
+# in blocks, so their memory does not grow with the run.
+REFERENCE_BLOCK = 256
 
 # Upper bound on the rows a run records, (steps + 1) x realizations.  Each
 # row holds 7 n-vectors (q, qd, e, ed, tau, gp_mean, gp_std), so at n = 2 the
@@ -266,12 +290,13 @@ def _integrate(model: ManipulatorModel, controller, ref: ReferenceTrajectory | N
         raise ValueError("stochastic controllers require the euler-maruyama integrator")
     if ref is not None and ref.n != model.n:
         raise ValueError(f"reference dimension {ref.n} != model dimension {model.n}")
+    JointState(q, qd)  # the run boundary: shapes agree, every value is finite
     batch, n = q.shape[:-1], q.shape[-1]
     steps, dt, threshold = config.steps, config.dt, config.divergence_threshold
+    rk4 = config.integrator == "rk4"
     record = seeds is not None
     defer_std = record and mode != "stochastic" and hasattr(controller, "posterior_std")
     rngs = [np.random.default_rng(s) for s in seeds or ()]
-    sample = ref.sample if ref is not None else (lambda t: None)
 
     t_arr = np.arange(steps + 1) * dt
     active = np.ones(batch, dtype=bool)
@@ -283,26 +308,38 @@ def _integrate(model: ManipulatorModel, controller, ref: ReferenceTrajectory | N
         ref_qdd = np.empty((steps + 1, n))
 
     for k in range(steps + 1):
-        t = t_arr[k]
-        refk = sample(t)
-        out = controller.output(JointState(q, qd), refk, include_std=not defer_std)
+        j = k % REFERENCE_BLOCK
+        if ref is not None and j == 0:
+            t_block = t_arr[k:k + REFERENCE_BLOCK]
+            grid = ref.sample(t_block)
+            if rk4:
+                mid = ref.sample(t_block + 0.5 * dt)  # stages 2 and 3
+                last = ref.sample(t_block + dt)       # stage 4: t_k + dt, not t_(k+1)
+            if defer_std:
+                ref_qd[k:k + REFERENCE_BLOCK] = grid.qd
+                ref_qdd[k:k + REFERENCE_BLOCK] = grid.qdd
+        ref_k = None if ref is None else ReferenceSample(grid.q[j], grid.qd[j], grid.qdd[j])
+        out = controller.output(JointState._unchecked(q, qd), ref_k,
+                                include_std=not defer_std)
         if record:
             row = (..., k, slice(None))
             rec["q"][row] = q
             rec["qd"][row] = qd
-            rec["e"][row] = q - refk.q
-            rec["ed"][row] = qd - refk.qd
+            rec["e"][row] = q - ref_k.q
+            rec["ed"][row] = qd - ref_k.qd
             rec["tau"][row] = out.drift
-            rec["gp_mean"][row] = out.gp_mean
-            if defer_std:
-                ref_qd[k] = refk.qd
-                ref_qdd[k] = refk.qdd
-            else:
-                rec["gp_std"][row] = out.gp_std
+            gp_mean, gp_std = out.traces()
+            if gp_mean is not None:
+                rec["gp_mean"][row] = gp_mean
+            if gp_std is not None and not defer_std:
+                rec["gp_std"][row] = gp_std
         if k == steps:
             break
-        if config.integrator == "rk4":
-            q_new, qd_new = _rk4_step(model, controller, sample, q, qd, t, dt, out)
+        if rk4:
+            stage_refs = None if ref is None else (
+                ReferenceSample(mid.q[j], mid.qd[j], mid.qdd[j]),
+                ReferenceSample(last.q[j], last.qd[j], last.qdd[j]))
+            q_new, qd_new, ok = _rk4_step(model, controller, q, qd, dt, out, stage_refs)
         else:
             # Euler-Maruyama, the controller output held over the step;
             # diffusion=None adds no noise term (exact explicit Euler)
@@ -314,11 +351,10 @@ def _integrate(model: ManipulatorModel, controller, ref: ReferenceTrajectory | N
                     if active[idx]:  # a frozen run draws nothing
                         xi[idx] = rng.standard_normal(n)
                 drive = np.einsum("...ij,...j->...i", out.diffusion, xi)
-                kick = np.linalg.solve(model.mass_matrix(q), drive[..., None])[..., 0]
-                qd_new = qd_new + math.sqrt(dt) * kick
+                qd_new = qd_new + math.sqrt(dt) * model.solve_mass(q, drive)
+            ok = True
         # a NaN or infinite component fails the comparison too
-        ok = (np.all(np.abs(q_new) <= threshold, axis=-1)
-              & np.all(np.abs(qd_new) <= threshold, axis=-1))
+        ok = np.asarray(ok & _within(q_new, threshold) & _within(qd_new, threshold))
         if not (ok.all() and active.all()):
             end[active & ~ok] = k + 1
             active &= ok
@@ -343,21 +379,54 @@ def _integrate(model: ManipulatorModel, controller, ref: ReferenceTrajectory | N
     return q, qd, active, results
 
 
-def _rk4_step(model, controller, sample, q, qd, t, dt, out0):
-    """One RK4 step; the controller is re-evaluated at every stage."""
+def _within(x: np.ndarray, bound: float):
+    """Per run, every component of x lies in [-bound, bound]; NaN fails.
 
-    def rate(qs, qds, ref_s):
-        stage_out = controller.output(JointState(qs, qds), ref_s, include_std=False)
-        return qds, model.forward_dynamics(qs, qds, stage_out.drift)
+    A bool for one run, a mask over the batch otherwise.
+    """
+    if x.ndim == 1:
+        return all(abs(v) <= bound for v in x.tolist())
+    return np.all(np.abs(x) <= bound, axis=-1)
 
-    k1q, k1v = qd, model.forward_dynamics(q, qd, out0.drift)
-    ref_mid = sample(t + 0.5 * dt)  # stages 2 and 3 share their time
-    k2q, k2v = rate(q + 0.5 * dt * k1q, qd + 0.5 * dt * k1v, ref_mid)
-    k3q, k3v = rate(q + 0.5 * dt * k2q, qd + 0.5 * dt * k2v, ref_mid)
-    k4q, k4v = rate(q + dt * k3q, qd + dt * k3v, sample(t + dt))
+
+def _finite(x: np.ndarray):
+    """Per run, every component of x is finite (a bool for one run)."""
+    if x.ndim == 1:
+        return all(map(math.isfinite, x.tolist()))
+    return np.all(np.isfinite(x), axis=-1)
+
+
+def _rk4_step(model, controller, q, qd, dt, out1, stage_refs):
+    """One RK4 step; the controller is re-evaluated at every stage.
+
+    stage_refs holds the reference at t + dt/2 (stages 2 and 3) and at
+    t + dt (stage 4), or is None.  Returns the new state and whether each
+    run's stage states stayed finite.  A run whose stage state turns
+    non-finite has diverged at this step: one run stops there and returns
+    its start state; in a batch the stage is evaluated at the run's start
+    state instead, so the others go on, and the caller freezes the run.
+    """
+    ref_mid, ref_last = stage_refs or (None, None)
+    ok = True
+    ks = [(qd, model.forward_dynamics(q, qd, out1.drift))]
+    for scale, ref_s in ((0.5 * dt, ref_mid), (0.5 * dt, ref_mid), (dt, ref_last)):
+        kq, kv = ks[-1]
+        qs = q + scale * kq
+        qds = qd + scale * kv
+        finite = _finite(qs) & _finite(qds)
+        if q.ndim == 1:
+            if not finite:
+                return q, qd, False
+        elif not finite.all():
+            ok = ok & finite
+            qs = np.where(finite[..., None], qs, q)
+            qds = np.where(finite[..., None], qds, qd)
+        out = controller.output(JointState._unchecked(qs, qds), ref_s, include_std=False)
+        ks.append((qds, model.forward_dynamics(qs, qds, out.drift)))
+    (k1q, k1v), (k2q, k2v), (k3q, k3v), (k4q, k4v) = ks
     q_new = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
     qd_new = qd + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return q_new, qd_new
+    return q_new, qd_new, ok
 
 
 def simulate(model: ManipulatorModel, controller, ref: ReferenceTrajectory,

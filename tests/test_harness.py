@@ -478,3 +478,36 @@ def test_cli_divergence_exit_3(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", out]) == 3
     # the partial trace is still on disk for inspection
     assert os.path.exists(os.path.join(out, "trajectory.csv"))
+
+
+def _kill_gains(raw: dict, kp: float, kd: float | None = None) -> dict:
+    n = len(raw["reference"]["amplitude"])
+    raw["controller"]["kp"] = [kp] * n
+    if kd is not None:
+        raw["controller"]["kd"] = [kd] * n
+    return raw
+
+
+@pytest.mark.parametrize("case", ["wing hg-pd", "arm ct", "wing ct-gp"])
+def test_cli_non_finite_stage_exits_3(tmp_path, capsys, case):
+    # gains of 1e200 overflow a torque inside an RK4 step, so a stage state
+    # turns non-finite before the step ends: the run diverged at that step
+    out = tmp_path / "run"
+    if case == "wing hg-pd":
+        raw = _wing_raw()
+        del raw["training"]
+        raw["controller"] = {"kind": "hg-pd"}
+        _kill_gains(raw, 1e200, 1e200)
+    elif case == "arm ct":
+        raw = _kill_gains(_weak_arm_raw(5.0), 1e200)
+    else:
+        cfg = _write_cfg(tmp_path, _wing_raw(), "train.yaml")
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        raw = _kill_gains(_wing_raw(), 1e200, 1e200)
+    cfg = _write_cfg(tmp_path, raw)
+    assert "1.0e+200" in open(cfg).read()
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("divergence:")
+    _, _, data = read_result_csv(out / "trajectory.csv")
+    assert 1 <= data.shape[0] < 1001 and np.all(np.isfinite(data))

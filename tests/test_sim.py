@@ -18,8 +18,8 @@ from ctgp.dynamics import (JointState, ManipulatorModel, RadialSpring,
                            TwoLinkArm, WingModel)
 from ctgp.gp import FittedGP, Hyperparameters, MultiGP, TrainingSet, fit
 from ctgp.sim import (MAX_RECORD_ROWS, DivergenceError, ReferenceTrajectory,
-                      SimConfig, SimResult, lyapunov_trace, run_ensemble,
-                      simulate)
+                      SimConfig, SimResult, _integrate, lyapunov_trace,
+                      run_ensemble, simulate)
 
 
 class _ZeroController:
@@ -453,6 +453,68 @@ def test_divergent_run_keeps_partial_trace():
     assert res.t.shape[0] < config.steps + 1
     assert np.all(np.isfinite(res.q))
     assert np.all(np.abs(res.q) <= config.divergence_threshold)
+
+
+def _overflowing_pd() -> PDController:
+    # a torque of 1e200 x the error overflows within one step's stages
+    return PDController(Gains.diagonal([1e200], [1e200]))
+
+
+def test_non_finite_stage_is_divergence_at_that_step():
+    config = SimConfig(dt=1e-3, duration=0.01)
+    with np.errstate(all="ignore"):
+        res = simulate(_pendulum(), _overflowing_pd(), _still_ref(), config,
+                       q0=np.array([0.1]))
+    # stage 3 of step 0 is non-finite: the run keeps row 0 only
+    assert res.diverged and res.t.shape == (1,)
+    assert res.q[0, 0] == 0.1 and np.all(np.isfinite(res.tau))
+
+
+def test_non_finite_stage_freezes_one_run_of_a_batch():
+    config = SimConfig(dt=1e-3, duration=0.01)
+    q0 = np.array([[0.0], [0.1], [0.0]])
+    with np.errstate(all="ignore"):
+        _, _, active, results = _integrate(_pendulum(), _overflowing_pd(), _still_ref(),
+                                           config, q0, np.zeros((3, 1)), [0, 1, 2])
+        solo = simulate(_pendulum(), _overflowing_pd(), _still_ref(), config)
+    assert active.tolist() == [True, False, True]
+    assert results[1].diverged and results[1].t.shape == (1,)
+    for run in (results[0], results[2]):
+        assert not run.diverged
+        for key in ("q", "qd", "e", "ed", "tau", "gp_mean", "gp_std"):
+            assert np.array_equal(getattr(run, key), getattr(solo, key))
+
+
+def test_stage_states_skip_the_joint_state_check(monkeypatch):
+    checks = []
+    post_init = JointState.__post_init__
+
+    def counting(self):
+        checks.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(JointState, "__post_init__", counting)
+    res = simulate(_pendulum(), PDController(Gains.diagonal([5.0], [5.0])),
+                   _still_ref(), SimConfig(dt=1e-3, duration=0.05), q0=np.array([0.1]))
+    assert res.t.shape == (51,)
+    assert len(checks) == 1  # the start state, at the run boundary
+
+
+def test_laws_without_a_gp_allocate_no_trace_arrays(monkeypatch):
+    outputs = []
+    output = PDController.output
+
+    def keep(self, *args, **kwargs):
+        outputs.append(output(self, *args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(PDController, "output", keep)
+    res = simulate(_pendulum(), PDController(Gains.diagonal([5.0], [5.0])),
+                   _still_ref(), SimConfig(dt=1e-3, duration=0.05), q0=np.array([0.1]))
+    assert len(outputs) == 4 * 50 + 1
+    assert all(out.traces() == (None, None) for out in outputs)
+    assert np.array_equal(res.gp_mean, np.zeros((51, 1)))
+    assert np.array_equal(outputs[0].gp_std, np.zeros(1))
 
 
 class _ShiftedRunaway(_RunawayModel):
