@@ -113,19 +113,11 @@ class ControlOutput:
             self._gp_mean = np.zeros_like(self.drift)
         return self._gp_mean
 
-    @gp_mean.setter
-    def gp_mean(self, value: np.ndarray) -> None:
-        self._gp_mean = value
-
     @property
     def gp_std(self) -> np.ndarray:
         if self._gp_std is None:
             self._gp_std = np.zeros_like(self.drift)
         return self._gp_std
-
-    @gp_std.setter
-    def gp_std(self, value: np.ndarray) -> None:
-        self._gp_std = value
 
     def traces(self) -> tuple[np.ndarray | None, np.ndarray | None]:
         """(gp_mean, gp_std) as the law set them: None where it set none."""
@@ -147,15 +139,8 @@ def build_gp_input(qdd_d: np.ndarray, qd_d: np.ndarray, q: np.ndarray) -> np.nda
     return np.concatenate([qdd_d, qd_d, q], axis=-1)
 
 
-def pd_control(gains: Gains, state: JointState, ref: ReferenceSample) -> ControlOutput:
-    e = state.q - ref.q
-    ed = state.qd - ref.qd
-    tau = -_mat_vec(gains.kp, e) - _mat_vec(gains.kd, ed)
-    return ControlOutput(drift=tau)
-
-
-def computed_torque(est_model: ManipulatorModel, gains: Gains, state: JointState,
-                    ref: ReferenceSample) -> ControlOutput:
+def _computed_torque(est_model: ManipulatorModel, gains: Gains, state: JointState,
+                     ref: ReferenceSample) -> np.ndarray:
     """Feedback linearization on the estimate plus PD action.
 
     C_hat is evaluated at the measured velocity but multiplies the desired
@@ -164,44 +149,13 @@ def computed_torque(est_model: ManipulatorModel, gains: Gains, state: JointState
     q, qd = state.q, state.qd
     e = q - ref.q
     ed = qd - ref.qd
-    tau = (
+    return (
         est_model.mass_times(q, ref.qdd)
         + est_model.coriolis_times(q, qd, ref.qd)
         + est_model.gravity_vector(q)
         - _mat_vec(gains.kd, ed)
         - _mat_vec(gains.kp, e)
     )
-    return ControlOutput(drift=tau)
-
-
-def ct_gp_control(est_model: ManipulatorModel, gp: MultiGP | None, gains: Gains,
-                  state: JointState, ref: ReferenceSample, mode: str = "deterministic",
-                  include_std: bool = True) -> ControlOutput:
-    """Computed torque plus the GP model-error compensation.
-
-    The GP terms are filled into the computed-torque output itself.  With no
-    training data the GP contributes an exactly zero mean and zero standard
-    deviation and the drift is left as it is, so the two laws coincide bit
-    for bit.  Without include_std (deterministic mode only) gp_std stays
-    zero.
-    """
-    if mode not in ("deterministic", "stochastic"):
-        raise ControlError(f"unknown mode {mode!r}")
-    out = computed_torque(est_model, gains, state, ref)
-    if gp is not None and gp.size > 0:
-        query = build_gp_input(ref.qdd, ref.qd, state.q)
-        if mode == "stochastic" or include_std:
-            pred = gp.predict(query)
-            out.gp_mean, out.gp_std = pred.mean, pred.std
-        else:
-            out.gp_mean = gp.predict_mean(query)
-        out.drift = out.drift + out.gp_mean
-    if mode == "stochastic":
-        n = state.q.shape[-1]
-        out.diffusion = np.zeros(state.q.shape + (n,))
-        idx = np.arange(n)
-        out.diffusion[..., idx, idx] = out.gp_std
-    return out
 
 
 class PDController:
@@ -212,7 +166,9 @@ class PDController:
 
     def output(self, state: JointState, ref: ReferenceSample,
                include_std: bool = True) -> ControlOutput:
-        return pd_control(self.gains, state, ref)
+        e = state.q - ref.q
+        ed = state.qd - ref.qd
+        return ControlOutput(-_mat_vec(self.gains.kp, e) - _mat_vec(self.gains.kd, ed))
 
 
 class ComputedTorqueController:
@@ -224,7 +180,7 @@ class ComputedTorqueController:
 
     def output(self, state: JointState, ref: ReferenceSample,
                include_std: bool = True) -> ControlOutput:
-        return computed_torque(self.est_model, self.gains, state, ref)
+        return ControlOutput(_computed_torque(self.est_model, self.gains, state, ref))
 
 
 class CTGPController:
@@ -239,8 +195,32 @@ class CTGPController:
 
     def output(self, state: JointState, ref: ReferenceSample,
                include_std: bool = True) -> ControlOutput:
-        return ct_gp_control(self.est_model, self.gp, self.gains, state, ref,
-                             mode=self.mode, include_std=include_std)
+        """Computed torque plus the GP model-error compensation.
+
+        With no training data the GP contributes an exactly zero mean and
+        zero standard deviation and the drift is the computed torque's, bit
+        for bit.  Without include_std (deterministic mode only) gp_std stays
+        zero.
+        """
+        tau = _computed_torque(self.est_model, self.gains, state, ref)
+        stochastic = self.mode == "stochastic"
+        mean = std = None
+        gp = self.gp
+        if gp is not None and gp.size > 0:
+            query = build_gp_input(ref.qdd, ref.qd, state.q)
+            if stochastic or include_std:
+                pred = gp.predict(query)
+                mean, std = pred.mean, pred.std
+            else:
+                mean = gp.predict_mean(query)
+            tau = tau + mean
+        out = ControlOutput(tau, gp_mean=mean, gp_std=std)
+        if stochastic:
+            n = state.q.shape[-1]
+            out.diffusion = np.zeros(state.q.shape + (n,))
+            idx = np.arange(n)
+            out.diffusion[..., idx, idx] = out.gp_std
+        return out
 
     def posterior_std(self, q: np.ndarray, qd_d: np.ndarray,
                       qdd_d: np.ndarray) -> np.ndarray:

@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import read_table
+
 
 class DynamicsError(Exception):
     """Model evaluation failure (singular mass matrix, bad table, ...)."""
@@ -157,10 +159,6 @@ class ManipulatorModel(abc.ABC):
         rhs = tau - self.coriolis_times(q, qd, qd) - self.gravity_vector(q, qd)
         return self.solve_mass(q, rhs)
 
-    def kinetic_energy(self, q, qd) -> np.ndarray:
-        h = self.mass_matrix(q)
-        return 0.5 * np.einsum("...i,...ij,...j->...", qd, h, qd)
-
 
 # ---------------------------------------------------------------------------
 # aerodynamic coefficient table
@@ -226,22 +224,15 @@ class AeroTable:
         cd = 0.01 + 1.3 * np.sin(a) ** 2
         return cls(grid, cl, cd)
 
-    def save_csv(self, path, manifest: tuple[str, ...] = ()):
-        lines = list(manifest)
-        lines.append("alpha_deg,cl,cd")
-        for adeg, cl, cd in zip(self.alpha_deg, self.cl, self.cd):
-            lines.append(f"{repr(float(adeg))},{repr(float(cl))},{repr(float(cd))}")
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
     @classmethod
     def load_csv(cls, path) -> "AeroTable":
-        with open(path) as fh:
-            rows = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-        if not rows or rows[0].split(",") != ["alpha_deg", "cl", "cd"]:
+        _, header, data = read_table(path)
+        if header != ["alpha_deg", "cl", "cd"]:
             raise ValueError(f"{path}: expected header alpha_deg,cl,cd")
-        data = np.array([[float(v) for v in ln.split(",")] for ln in rows[1:]])
-        return cls(data[:, 0], data[:, 1], data[:, 2])
+        try:
+            return cls(data[:, 0], data[:, 1], data[:, 2])
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
 
 
 def aero_torque(table: AeroTable, q, airspeed: float, *, air_density: float = 1.225,
@@ -495,25 +486,6 @@ class TwoLinkArm(ManipulatorModel):
         c10 = hcoef * qd0
         return _assemble((_dot2(c00, v0, c01, v1), _dot2(c10, v0, 0.0, v1)),
                          _shape(q, qd, v))
-
-    def effector_position(self, q):
-        q = np.asarray(q, dtype=float)
-        s1, c1 = np.sin(q[..., 0]), np.cos(q[..., 0])
-        s12, c12 = np.sin(q[..., 0] + q[..., 1]), np.cos(q[..., 0] + q[..., 1])
-        x = self.l1 * c1 + self.l2 * c12
-        y = self.l1 * s1 + self.l2 * s12
-        return np.stack([x, y], axis=-1)
-
-    def effector_jacobian(self, q):
-        q = np.asarray(q, dtype=float)
-        s1, c1 = np.sin(q[..., 0]), np.cos(q[..., 0])
-        s12, c12 = np.sin(q[..., 0] + q[..., 1]), np.cos(q[..., 0] + q[..., 1])
-        j = np.empty(q.shape[:-1] + (2, 2))
-        j[..., 0, 0] = -self.l1 * s1 - self.l2 * s12
-        j[..., 0, 1] = -self.l2 * s12
-        j[..., 1, 0] = self.l1 * c1 + self.l2 * c12
-        j[..., 1, 1] = self.l2 * c12
-        return j
 
     def spring_torque(self, q):
         """Joint-torque contribution of the band, g-vector side: J(q)' f."""

@@ -31,6 +31,8 @@ from scipy.linalg import cho_solve
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrf, dpotri, dtrtri
 
+from .csvio import read_table, write_lines, write_table
+
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -172,49 +174,20 @@ class TrainingSet:
         return TrainingSet(self.inputs[:, idx], self.outputs[idx, :])
 
     def save_csv(self, path, manifest: tuple[str, ...] = ()):
-        """Write one row per point, columns x_1..x_d, y_1..y_n.
-
-        Floats are written with shortest round-trip representation so a
-        load/save cycle is lossless.
-        """
-        d, n = self.input_dim, self.output_dim
-        header = [f"x_{j + 1}" for j in range(d)] + [f"y_{j + 1}" for j in range(n)]
-        lines = list(manifest)
-        lines.append(",".join(header))
-        for i in range(self.size):
-            row = [repr(float(v)) for v in self.inputs[:, i]]
-            row += [repr(float(v)) for v in self.outputs[i, :]]
-            lines.append(",".join(row))
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """Write one row per point, columns x_1..x_d, y_1..y_n."""
+        header = ([f"x_{j + 1}" for j in range(self.input_dim)]
+                  + [f"y_{j + 1}" for j in range(self.output_dim)])
+        write_table(path, manifest, header,
+                    np.concatenate([self.inputs.T, self.outputs], axis=1))
 
     @classmethod
     def load_csv(cls, path) -> "TrainingSet":
-        with open(path) as fh:
-            raw = [ln.strip() for ln in fh]
-        rows = [ln for ln in raw if ln and not ln.startswith("#")]
-        if not rows:
-            raise ValueError(f"{path}: no header row")
-        header = rows[0].split(",")
+        _, header, data = read_table(path)
         d = sum(1 for c in header if c.startswith("x_"))
         n = sum(1 for c in header if c.startswith("y_"))
         if d + n != len(header) or d == 0 or n == 0:
             raise ValueError(f"{path}: header must be x_1..x_d,y_1..y_n, got {header}")
-        data = np.array([[float(v) for v in ln.split(",")] for ln in rows[1:]], dtype=float)
-        data = data.reshape(-1, d + n)
         return cls(data[:, :d].T, data[:, d:])
-
-
-def kernel_eval(x, x_prime, hp: Hyperparameters) -> float:
-    """Squared-exponential kernel sigma_f^2 exp(-||x - x'||^2 / (2 lambda^2))."""
-    x = np.asarray(x, dtype=float)
-    x_prime = np.asarray(x_prime, dtype=float)
-    if x.shape != x_prime.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {x_prime.shape}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(x_prime))):
-        raise ValueError("kernel inputs must be finite")
-    r2 = float(np.sum((x - x_prime) ** 2))
-    return hp.signal_variance * math.exp(-r2 / (2.0 * hp.length_scale**2))
 
 
 def _sq_norms(a: np.ndarray) -> np.ndarray:
@@ -646,8 +619,7 @@ def save_hyperparameters(path, hypers: list[Hyperparameters], manifest: tuple[st
         lines.append(f"lambda_{i} = {repr(float(hp.length_scale))}")
         lines.append(f"sigma_f_{i} = {repr(float(hp.signal_variance))}")
         lines.append(f"sigma_n_{i} = {repr(float(hp.noise_variance))}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 _HP_LINE = re.compile(r"^(lambda|sigma_f|sigma_n)_(\d+)\s*=\s*(\S+)$")

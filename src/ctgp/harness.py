@@ -1,9 +1,9 @@
 """End-to-end pipeline operations behind the command-line interface.
 
-Every produced CSV starts with manifest comment lines (config fingerprint,
-seeds, controller, frequency unit, package version) so a result file is
-traceable to the exact scenario that made it; identical scenario + seed
-reruns are byte-identical.
+Every produced CSV starts with a manifest line (config fingerprint, seeds,
+controller, frequency unit, package version; the format is `csvio`'s) so a
+result file is traceable to the exact scenario that made it; identical
+scenario + seed reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, Scenario
 from .control import PDController, estimate_error_bound, verify_conditions
+from .csvio import manifest_line, read_table, write_lines, write_table
 from .dynamics import check_structural_properties
 from .gp import (Hyperparameters, MultiGP, TrainingSet, fit,
                  load_hyperparameters, log_marginal_likelihood,
@@ -48,8 +49,7 @@ def manifest_lines(scenario: Scenario, **extra) -> tuple[str, ...]:
         "version": __version__,
     }
     pairs.update(extra)
-    body = " ".join(f"{k}={v}" for k, v in pairs.items())
-    return (f"# manifest: {body}",)
+    return (manifest_line(pairs),)
 
 
 def _seeded_plan(plan, seed_override):
@@ -111,9 +111,8 @@ def run_train(scenario: Scenario, out_dir, seed_override: int | None = None) -> 
     )
     training_csv = os.path.join(out_dir, TRAINING_CSV)
     train.save_csv(training_csv, manifest)
-    with open(os.path.join(out_dir, TRAINING_PROVENANCE), "w", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_lines(os.path.join(out_dir, TRAINING_PROVENANCE),
+                [json.dumps(meta, indent=2, sort_keys=True)])
     hp_file = os.path.join(out_dir, HYPERPARAMETERS_FILE)
     save_hyperparameters(hp_file, hypers, manifest)
     log_file = os.path.join(out_dir, TRAIN_LOG)
@@ -126,8 +125,7 @@ def run_train(scenario: Scenario, out_dir, seed_override: int | None = None) -> 
             f"sigma_f = {repr(float(hp.signal_variance))}, "
             f"sigma_n = {repr(float(hp.noise_variance))}"
         )
-    with open(log_file, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(log_file, lines)
     gp = fit(train, hypers)
     return TrainOutputs(training_csv, hp_file, log_file, train, gp, meta["dropped"])
 
@@ -209,9 +207,7 @@ def run_simulate(scenario: Scenario, out_dir, seed_override: int | None = None,
         "divergent_runs": divergent,
         "version": __version__,
     }
-    with open(manifest_file, "w", newline="\n") as fh:
-        json.dump(info, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_lines(manifest_file, [json.dumps(info, indent=2, sort_keys=True)])
     if len(divergent) == sim_cfg.realizations:
         raise DivergenceError(
             f"all {sim_cfg.realizations} realization(s) diverged; partial "
@@ -223,29 +219,10 @@ def run_simulate(scenario: Scenario, out_dir, seed_override: int | None = None,
 
 def read_result_csv(path) -> tuple[dict, list[str], np.ndarray]:
     """(manifest key/values, column names, data) from a result CSV."""
-    meta: dict[str, str] = {}
-    header: list[str] | None = None
-    rows = []
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln:
-                continue
-            if ln.startswith("#"):
-                if ln.startswith("# manifest:"):
-                    for token in ln[len("# manifest:"):].split():
-                        if "=" in token:
-                            k, v = token.split("=", 1)
-                            meta[k] = v
-                continue
-            if header is None:
-                header = ln.split(",")
-            else:
-                rows.append([float(v) for v in ln.split(",")])
-    if header is None:
-        raise ConfigError(f"{path}: no header row")
-    data = np.array(rows, dtype=float).reshape(-1, len(header))
-    return meta, header, data
+    try:
+        return read_table(path)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def trajectory_rmse(path, t_skip: float) -> tuple[str, int, np.ndarray]:
@@ -283,15 +260,12 @@ def run_evaluate(paths, t_skip: float, out_path) -> list[tuple[str, np.ndarray]]
     for grid in grids[1:]:
         if grid.shape != base.shape or not np.array_equal(grid, base):
             raise ConfigError("trajectory files do not share a common time grid")
-    n = max(len(rmse) for _, rmse in table)
-    lines = [f"# manifest: t_skip={repr(float(t_skip))} version={__version__}"]
-    lines.append("controller," + ",".join(f"rmse_{j + 1}" for j in range(n)))
-    for label, rmse in table:
-        vals = [repr(float(v)) for v in rmse] + [""] * (n - len(rmse))
-        lines.append(label + "," + ",".join(vals))
     if out_path is not None:
-        with open(out_path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        n = max(len(rmse) for _, rmse in table)
+        manifest = [manifest_line({"t_skip": repr(float(t_skip)), "version": __version__})]
+        header = ["controller"] + [f"rmse_{j + 1}" for j in range(n)]
+        rows = ([label, *rmse, *[""] * (n - len(rmse))] for label, rmse in table)
+        write_table(out_path, manifest, header, rows)
     return table
 
 
@@ -374,16 +348,12 @@ def run_learning_curve(scenario: Scenario, sizes, out_dir,
         probe = prediction_error_median(gp, scenario)
         rows.append((size, rmse, probe))
     path = os.path.join(out_dir, LEARNING_CURVE_CSV)
-    n = scenario.plant.n
-    lines = list(manifest_lines(scenario, points_available=train.size,
-                                training_seed=meta["plan"]["seed"]))
-    lines.append("points," + ",".join(f"rmse_{j + 1}" for j in range(n)) + ",probe_median")
-    for size, rmse, probe in rows:
-        lines.append(
-            f"{size}," + ",".join(repr(float(v)) for v in rmse) + f",{repr(float(probe))}"
-        )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    manifest = manifest_lines(scenario, points_available=train.size,
+                              training_seed=meta["plan"]["seed"])
+    header = (["points"] + [f"rmse_{j + 1}" for j in range(scenario.plant.n)]
+              + ["probe_median"])
+    write_table(path, manifest, header,
+                ([str(size), *rmse, probe] for size, rmse, probe in rows))
     return path
 
 
@@ -413,9 +383,7 @@ def run_check(scenario: Scenario, out_dir=None) -> tuple[str, bool]:
         "",
         f"overall: {'PASS' if passed else 'FAIL'}",
     ]
-    text = "\n".join(lines) + "\n"
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, CHECK_REPORT), "w", newline="\n") as fh:
-            fh.write(text)
-    return text, passed
+        write_lines(os.path.join(out_dir, CHECK_REPORT), lines)
+    return "\n".join(lines) + "\n", passed

@@ -65,6 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import ReferenceSample
+from .csvio import write_table
 from .dynamics import JointState, ManipulatorModel
 
 
@@ -178,6 +179,10 @@ class SimConfig:
         return int(round(self.duration / self.dt))
 
 
+# the per-step arrays of a run, in the column order of its CSV
+_RECORDED = ("q", "qd", "e", "ed", "tau", "gp_mean", "gp_std")
+
+
 @dataclass
 class SimResult:
     """Recorded trajectory on the uniform grid t_k = k dt.
@@ -217,22 +222,12 @@ class SimResult:
         return np.sqrt(np.mean(self.e[mask] ** 2, axis=0))
 
     def to_csv(self, path, manifest: tuple[str, ...] = ()):
-        n = self.n
-        cols = ["t"]
-        for base in ("q", "qd", "e", "ed", "tau", "gp_mean", "gp_std"):
-            cols += [f"{base}_{j + 1}" for j in range(n)]
-        arrays = [self.t[:, None], self.q, self.qd, self.e, self.ed, self.tau,
-                  self.gp_mean, self.gp_std]
+        cols = ["t"] + [f"{key}_{j + 1}" for key in _RECORDED for j in range(self.n)]
+        arrays = [self.t[:, None]] + [getattr(self, key) for key in _RECORDED]
         if self.v is not None:
             cols.append("v")
             arrays.append(self.v[:, None])
-        data = np.concatenate(arrays, axis=1)
-        lines = list(manifest)
-        lines.append(",".join(cols))
-        for row in data:
-            lines.append(",".join(repr(float(x)) for x in row))
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_table(path, manifest, cols, np.concatenate(arrays, axis=1))
 
 
 @dataclass
@@ -248,29 +243,11 @@ class EnsembleStats:
     divergent_runs: list[int] = field(default_factory=list)
     realizations: int = 1
 
-    @property
-    def std_valid(self) -> bool:
-        # a single realization has no spread estimate
-        return self.realizations - len(self.divergent_runs) >= 2
-
     def to_csv(self, path, manifest: tuple[str, ...] = ()):
-        n = self.mean_q.shape[1]
-        cols = ["t"]
-        for base in ("mean_q", "std_q", "mean_qd", "std_qd"):
-            cols += [f"{base}_{j + 1}" for j in range(n)]
-        data = np.concatenate(
-            [self.t[:, None], self.mean_q, self.std_q, self.mean_qd, self.std_qd],
-            axis=1,
-        )
-        lines = list(manifest)
-        lines.append(",".join(cols))
-        for row in data:
-            lines.append(",".join(repr(float(x)) for x in row))
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-
-_RECORDED = ("q", "qd", "e", "ed", "tau", "gp_mean", "gp_std")
+        keys = ("mean_q", "std_q", "mean_qd", "std_qd")
+        cols = ["t"] + [f"{key}_{j + 1}" for key in keys for j in range(self.mean_q.shape[1])]
+        arrays = [self.t[:, None]] + [getattr(self, key) for key in keys]
+        write_table(path, manifest, cols, np.concatenate(arrays, axis=1))
 
 
 def _integrate(model: ManipulatorModel, controller, ref: ReferenceTrajectory | None,
@@ -307,63 +284,65 @@ def _integrate(model: ManipulatorModel, controller, ref: ReferenceTrajectory | N
         ref_qd = np.empty((steps + 1, n))
         ref_qdd = np.empty((steps + 1, n))
 
-    for k in range(steps + 1):
-        j = k % REFERENCE_BLOCK
-        if ref is not None and j == 0:
-            t_block = t_arr[k:k + REFERENCE_BLOCK]
-            grid = ref.sample(t_block)
-            if rk4:
-                mid = ref.sample(t_block + 0.5 * dt)  # stages 2 and 3
-                last = ref.sample(t_block + dt)       # stage 4: t_k + dt, not t_(k+1)
-            if defer_std:
-                ref_qd[k:k + REFERENCE_BLOCK] = grid.qd
-                ref_qdd[k:k + REFERENCE_BLOCK] = grid.qdd
-        ref_k = None if ref is None else ReferenceSample(grid.q[j], grid.qd[j], grid.qdd[j])
-        out = controller.output(JointState._unchecked(q, qd), ref_k,
-                                include_std=not defer_std)
-        if record:
-            row = (..., k, slice(None))
-            rec["q"][row] = q
-            rec["qd"][row] = qd
-            rec["e"][row] = q - ref_k.q
-            rec["ed"][row] = qd - ref_k.qd
-            rec["tau"][row] = out.drift
-            gp_mean, gp_std = out.traces()
-            if gp_mean is not None:
-                rec["gp_mean"][row] = gp_mean
-            if gp_std is not None and not defer_std:
-                rec["gp_std"][row] = gp_std
-        if k == steps:
-            break
-        if rk4:
-            stage_refs = None if ref is None else (
-                ReferenceSample(mid.q[j], mid.qd[j], mid.qdd[j]),
-                ReferenceSample(last.q[j], last.qd[j], last.qdd[j]))
-            q_new, qd_new, ok = _rk4_step(model, controller, q, qd, dt, out, stage_refs)
-        else:
-            # Euler-Maruyama, the controller output held over the step;
-            # diffusion=None adds no noise term (exact explicit Euler)
-            q_new = q + dt * qd
-            qd_new = qd + dt * model.forward_dynamics(q, qd, out.drift)
-            if out.diffusion is not None:
-                xi = np.zeros(qd.shape)
-                for rng, idx in zip(rngs, np.ndindex(batch)):
-                    if active[idx]:  # a frozen run draws nothing
-                        xi[idx] = rng.standard_normal(n)
-                drive = np.einsum("...ij,...j->...i", out.diffusion, xi)
-                qd_new = qd_new + math.sqrt(dt) * model.solve_mass(q, drive)
-            ok = True
-        # a NaN or infinite component fails the comparison too
-        ok = np.asarray(ok & _within(q_new, threshold) & _within(qd_new, threshold))
-        if not (ok.all() and active.all()):
-            end[active & ~ok] = k + 1
-            active &= ok
-            if not active.any():
+    # a state that overflows is reported as divergence below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps + 1):
+            j = k % REFERENCE_BLOCK
+            if ref is not None and j == 0:
+                t_block = t_arr[k:k + REFERENCE_BLOCK]
+                grid = ref.sample(t_block)
+                if rk4:
+                    mid = ref.sample(t_block + 0.5 * dt)  # stages 2 and 3
+                    last = ref.sample(t_block + dt)       # stage 4: t_k + dt, not t_(k+1)
+                if defer_std:
+                    ref_qd[k:k + REFERENCE_BLOCK] = grid.qd
+                    ref_qdd[k:k + REFERENCE_BLOCK] = grid.qdd
+            ref_k = None if ref is None else ReferenceSample(grid.q[j], grid.qd[j], grid.qdd[j])
+            out = controller.output(JointState._unchecked(q, qd), ref_k,
+                                    include_std=not defer_std)
+            if record:
+                row = (..., k, slice(None))
+                rec["q"][row] = q
+                rec["qd"][row] = qd
+                rec["e"][row] = q - ref_k.q
+                rec["ed"][row] = qd - ref_k.qd
+                rec["tau"][row] = out.drift
+                gp_mean, gp_std = out.traces()
+                if gp_mean is not None:
+                    rec["gp_mean"][row] = gp_mean
+                if gp_std is not None and not defer_std:
+                    rec["gp_std"][row] = gp_std
+            if k == steps:
                 break
-            # frozen runs keep their last finite state
-            q_new = np.where(active[..., None], q_new, q)
-            qd_new = np.where(active[..., None], qd_new, qd)
-        q, qd = q_new, qd_new
+            if rk4:
+                stage_refs = None if ref is None else (
+                    ReferenceSample(mid.q[j], mid.qd[j], mid.qdd[j]),
+                    ReferenceSample(last.q[j], last.qd[j], last.qdd[j]))
+                q_new, qd_new, ok = _rk4_step(model, controller, q, qd, dt, out, stage_refs)
+            else:
+                # Euler-Maruyama, the controller output held over the step;
+                # diffusion=None adds no noise term (exact explicit Euler)
+                q_new = q + dt * qd
+                qd_new = qd + dt * model.forward_dynamics(q, qd, out.drift)
+                if out.diffusion is not None:
+                    xi = np.zeros(qd.shape)
+                    for rng, idx in zip(rngs, np.ndindex(batch)):
+                        if active[idx]:  # a frozen run draws nothing
+                            xi[idx] = rng.standard_normal(n)
+                    drive = np.einsum("...ij,...j->...i", out.diffusion, xi)
+                    qd_new = qd_new + math.sqrt(dt) * model.solve_mass(q, drive)
+                ok = True
+            # a NaN or infinite component fails the comparison too
+            ok = np.asarray(ok & _within(q_new, threshold) & _within(qd_new, threshold))
+            if not (ok.all() and active.all()):
+                end[active & ~ok] = k + 1
+                active &= ok
+                if not active.any():
+                    break
+                # frozen runs keep their last finite state
+                q_new = np.where(active[..., None], q_new, q)
+                qd_new = np.where(active[..., None], qd_new, qd)
+            q, qd = q_new, qd_new
 
     if not record:
         return q, qd, active, None

@@ -21,11 +21,12 @@ from ctgp.cli import main
 from ctgp.config import load_scenario, scenario_from_dict
 from ctgp.control import ControlOutput, CTGPController, Gains
 from ctgp.dynamics import JointState, WingModel, check_structural_properties
-from ctgp.gp import (Hyperparameters, MultiGP, TrainingSet, fit, kernel_eval,
+from ctgp.gp import (Hyperparameters, MultiGP, TrainingSet, fit,
                      log_marginal_likelihood, save_hyperparameters)
 from ctgp.harness import (optimize_training_set, read_result_csv,
                           run_learning_curve, run_train)
 from ctgp.sim import ReferenceTrajectory, SimConfig, run_ensemble, simulate
+from oracles import kernel_eval
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -14,8 +14,7 @@ import pytest
 
 from ctgp.control import (ControlError, ControlOutput, CTGPController,
                           ComputedTorqueController, Gains, PDController,
-                          ReferenceSample, build_gp_input, computed_torque,
-                          ct_gp_control, estimate_error_bound, pd_control,
+                          ReferenceSample, build_gp_input, estimate_error_bound,
                           verify_conditions)
 from ctgp.dynamics import (JointState, PendulumEstimate, RadialSpring,
                            TwoLinkArm, WingModel)
@@ -62,8 +61,8 @@ def test_gains_sigma_min_non_diagonal():
 
 
 def test_pd_zero_error_zero_torque():
-    out = pd_control(Gains.diagonal([800.0, 600.0], [5.0, 5.0]),
-                     JointState(np.zeros(2), np.zeros(2)), _ref(2))
+    out = PDController(Gains.diagonal([800.0, 600.0], [5.0, 5.0])).output(
+        JointState(np.zeros(2), np.zeros(2)), _ref(2))
     assert np.array_equal(out.drift, np.zeros(2))
     assert out.diffusion is None
     assert np.array_equal(out.gp_mean, np.zeros(2))
@@ -71,20 +70,20 @@ def test_pd_zero_error_zero_torque():
 
 def test_pd_high_gain_frozen_value():
     # Kp = diag(800, 600), e = (0.1, 0), ed = 0
-    out = pd_control(Gains.diagonal([800.0, 600.0], [5.0, 5.0]),
-                     JointState(np.array([0.1, 0.0]), np.zeros(2)), _ref(2))
+    out = PDController(Gains.diagonal([800.0, 600.0], [5.0, 5.0])).output(
+        JointState(np.array([0.1, 0.0]), np.zeros(2)), _ref(2))
     assert out.drift == pytest.approx(np.array([-80.0, 0.0]), abs=1e-12)
 
 
 def test_pd_low_gain_frozen_value():
-    out = pd_control(Gains.diagonal([20.0, 15.0], [5.0, 5.0]),
-                     JointState(np.array([0.1, 0.0]), np.zeros(2)), _ref(2))
+    out = PDController(Gains.diagonal([20.0, 15.0], [5.0, 5.0])).output(
+        JointState(np.array([0.1, 0.0]), np.zeros(2)), _ref(2))
     assert out.drift == pytest.approx(np.array([-2.0, 0.0]), abs=1e-12)
 
 
 def test_pd_damping_term():
-    out = pd_control(Gains.diagonal([0.001, 0.001], [5.0, 5.0]),
-                     JointState(np.zeros(2), np.array([2.0, -1.0])), _ref(2))
+    out = PDController(Gains.diagonal([0.001, 0.001], [5.0, 5.0])).output(
+        JointState(np.zeros(2), np.array([2.0, -1.0])), _ref(2))
     assert out.drift == pytest.approx(np.array([-10.0, 5.0]), abs=1e-9)
 
 
@@ -94,16 +93,16 @@ def test_pd_damping_term():
 
 def test_computed_torque_pendulum_frozen_value():
     # at rest on a zero reference with qdd_d = 1: tau = 0.9 * 1
-    out = computed_torque(PendulumEstimate(), Gains.diagonal([5.0], [5.0]),
-                          JointState(np.zeros(1), np.zeros(1)), _ref(1, qdd=1.0))
+    out = ComputedTorqueController(PendulumEstimate(), Gains.diagonal([5.0], [5.0])).output(
+        JointState(np.zeros(1), np.zeros(1)), _ref(1, qdd=1.0))
     assert out.drift[0] == pytest.approx(0.9, abs=1e-12)
 
 
 def test_computed_torque_zero_reference_outputs_static_compensation():
     est = TwoLinkArm(spring=RadialSpring((0.45, -0.15), 0.1, 15.0, 0.0),
                      viscous=0.0, coulomb=0.0)
-    out = computed_torque(est, Gains.diagonal([20.0, 15.0], [5.0, 5.0]),
-                          JointState(np.zeros(2), np.zeros(2)), _ref(2))
+    out = ComputedTorqueController(est, Gains.diagonal([20.0, 15.0], [5.0, 5.0])).output(
+        JointState(np.zeros(2), np.zeros(2)), _ref(2))
     assert np.array_equal(out.drift, est.gravity_vector(np.zeros(2)))
 
 
@@ -118,7 +117,7 @@ def test_computed_torque_perfect_model_reproduces_desired_acceleration():
         qd = rng.uniform(-3.0, 3.0, 2)
         qdd = rng.uniform(-5.0, 5.0, 2)
         ref = ReferenceSample(q=q, qd=qd, qdd=qdd)
-        out = computed_torque(model, gains, JointState(q, qd), ref)
+        out = ComputedTorqueController(model, gains).output(JointState(q, qd), ref)
         assert model.forward_dynamics(q, qd, out.drift) == pytest.approx(
             qdd, abs=1e-10)
 
@@ -130,7 +129,7 @@ def test_computed_torque_uses_measured_velocity_in_coriolis():
     q = np.array([0.3, 1.1])
     qd = np.array([2.0, -1.0])
     ref = ReferenceSample(q=q, qd=np.array([0.5, 0.25]), qdd=np.zeros(2))
-    out = computed_torque(model, gains, JointState(q, qd), ref)
+    out = ComputedTorqueController(model, gains).output(JointState(q, qd), ref)
     expected = (model.coriolis_matrix(q, qd) @ ref.qd
                 + model.gravity_vector(q))
     # feedback contributes < 1e-8 through the epsilon gains
@@ -146,27 +145,22 @@ def test_ct_gp_without_data_matches_computed_torque_bitwise():
     gains = Gains.diagonal([5.0], [5.0])
     state = JointState(np.array([0.2]), np.array([-0.4]))
     ref = _ref(1, q=0.1, qd=0.3, qdd=1.0)
-    base = computed_torque(est, gains, state, ref)
+    base = ComputedTorqueController(est, gains).output(state, ref)
     for gp in (None, MultiGP.empty(3, 1)):
-        out = ct_gp_control(est, gp, gains, state, ref)
+        out = CTGPController(est, gp, gains).output(state, ref)
         assert np.array_equal(out.drift, base.drift)
         assert out.diffusion is None
         assert np.array_equal(out.gp_std, np.zeros(1))
 
 
 def test_ct_gp_without_data_stochastic_has_zero_diffusion():
-    out = ct_gp_control(PendulumEstimate(), MultiGP.empty(3, 1),
-                        Gains.diagonal([5.0], [5.0]),
-                        JointState(np.zeros(1), np.zeros(1)), _ref(1),
-                        mode="stochastic")
+    out = CTGPController(PendulumEstimate(), MultiGP.empty(3, 1),
+                         Gains.diagonal([5.0], [5.0]), mode="stochastic").output(
+        JointState(np.zeros(1), np.zeros(1)), _ref(1))
     assert np.array_equal(out.diffusion, np.zeros((1, 1)))
 
 
 def test_ct_gp_rejects_unknown_mode():
-    with pytest.raises(ControlError, match="mode"):
-        ct_gp_control(PendulumEstimate(), None, Gains.diagonal([5.0], [5.0]),
-                      JointState(np.zeros(1), np.zeros(1)), _ref(1),
-                      mode="chaotic")
     with pytest.raises(ControlError, match="mode"):
         CTGPController(PendulumEstimate(), None,
                        Gains.diagonal([5.0], [5.0]), mode="chaotic")
@@ -193,8 +187,8 @@ def test_ct_gp_dense_training_compensates_residual():
     state = JointState(np.array([0.5]), np.array([0.2]))
     ref = ReferenceSample(q=np.array([0.5]), qd=np.array([0.2]),
                           qdd=np.array([0.6]))
-    out = ct_gp_control(est, gp, gains, state, ref)
-    base = computed_torque(est, gains, state, ref)
+    out = CTGPController(est, gp, gains).output(state, ref)
+    base = ComputedTorqueController(est, gains).output(state, ref)
     residual = 0.1 * 0.6 + 0.981 * math.sin(0.5)
     assert out.drift[0] == pytest.approx(base.drift[0] + residual, abs=2e-3)
     assert out.gp_mean[0] == pytest.approx(residual, abs=2e-3)
@@ -206,18 +200,17 @@ def test_ct_gp_stochastic_shares_drift_with_deterministic():
     gains = Gains.diagonal([5.0], [5.0])
     state = JointState(np.array([0.31]), np.array([-0.7]))
     ref = _ref(1, q=0.2, qd=0.1, qdd=0.4)
-    det = ct_gp_control(est, gp, gains, state, ref, mode="deterministic")
-    sto = ct_gp_control(est, gp, gains, state, ref, mode="stochastic")
+    det = CTGPController(est, gp, gains, mode="deterministic").output(state, ref)
+    sto = CTGPController(est, gp, gains, mode="stochastic").output(state, ref)
     assert np.array_equal(sto.drift, det.drift)
     assert not hasattr(sto, "torque")  # the drift is the only torque
     assert sto.diffusion.shape == (1, 1)
     assert sto.diffusion[0, 0] == sto.gp_std[0] >= 0.0
     # diagonal diffusion: no cross terms by construction
     gp2 = MultiGP.empty(6, 2)
-    sto2 = ct_gp_control(TwoLinkArm().rigid_estimate(), gp2,
-                         Gains.diagonal([20.0, 15.0], [5.0, 5.0]),
-                         JointState(np.zeros(2), np.zeros(2)), _ref(2),
-                         mode="stochastic")
+    sto2 = CTGPController(TwoLinkArm().rigid_estimate(), gp2,
+                          Gains.diagonal([20.0, 15.0], [5.0, 5.0]),
+                          mode="stochastic").output(JointState(np.zeros(2), np.zeros(2)), _ref(2))
     assert np.array_equal(sto2.diffusion, np.zeros((2, 2)))
 
 
@@ -227,8 +220,8 @@ def test_ct_gp_skipping_std_keeps_the_mean():
     gains = Gains.diagonal([5.0], [5.0])
     state = JointState(np.array([0.15]), np.array([0.0]))
     ref = _ref(1, qdd=0.3)
-    full = ct_gp_control(est, gp, gains, state, ref, include_std=True)
-    lean = ct_gp_control(est, gp, gains, state, ref, include_std=False)
+    full = CTGPController(est, gp, gains).output(state, ref, include_std=True)
+    lean = CTGPController(est, gp, gains).output(state, ref, include_std=False)
     assert np.array_equal(lean.drift, full.drift)
     assert np.array_equal(lean.gp_std, np.zeros(1))
     assert full.gp_std[0] > 0.0
@@ -241,31 +234,16 @@ def test_ct_gp_continuous_in_position():
     gains = Gains.diagonal([5.0], [5.0])
     ref = _ref(1, qdd=0.5)
     delta = 1e-6
-    t0 = ct_gp_control(est, gp, gains,
-                       JointState(np.array([0.4]), np.zeros(1)), ref).drift[0]
-    t1 = ct_gp_control(est, gp, gains,
-                       JointState(np.array([0.4 + delta]), np.zeros(1)),
-                       ref).drift[0]
+    ctl = CTGPController(est, gp, gains)
+    t0 = ctl.output(JointState(np.array([0.4]), np.zeros(1)), ref).drift[0]
+    t1 = ctl.output(JointState(np.array([0.4 + delta]), np.zeros(1)), ref).drift[0]
     quotient = abs(t1 - t0) / delta
     assert math.isfinite(quotient)
     assert quotient < 1e3
 
 
 def test_controller_objects_match_free_functions():
-    est = PendulumEstimate()
-    gains = Gains.diagonal([5.0], [5.0])
-    state = JointState(np.array([0.3]), np.array([0.1]))
-    ref = _ref(1, qdd=0.2)
-    assert np.array_equal(PDController(gains).output(state, ref).drift,
-                          pd_control(gains, state, ref).drift)
-    assert np.array_equal(
-        ComputedTorqueController(est, gains).output(state, ref).drift,
-        computed_torque(est, gains, state, ref).drift)
-    gp = _wing_residual_gp()
-    assert np.array_equal(
-        CTGPController(est, gp, gains).output(state, ref).drift,
-        ct_gp_control(est, gp, gains, state, ref).drift)
-    assert PDController(gains).mode == "deterministic"
+    assert PDController(Gains.diagonal([5.0], [5.0])).mode == "deterministic"
 
 
 def test_build_gp_input_stacking_order():

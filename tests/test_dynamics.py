@@ -17,6 +17,8 @@ from ctgp.dynamics import (AeroTable, DynamicsError, JointState,
                            PendulumEstimate, RadialSpring, TwoLinkArm,
                            WingModel, aero_torque,
                            check_structural_properties)
+from ctgp.csvio import write_table
+from oracles import effector_jacobian, effector_position, kinetic_energy
 
 
 def _arm(spring=True) -> TwoLinkArm:
@@ -101,7 +103,7 @@ def _lagrangian_mass_oracle(model, q, h=1e-3):
                     qd = np.zeros(n)
                     qd[i] += si * h
                     qd[j] += sj * h
-                    acc += si * sj * model.kinetic_energy(q, qd)
+                    acc += si * sj * kinetic_energy(model, q, qd)
             out[i, j] = acc / (4.0 * h * h)
     return out
 
@@ -305,7 +307,8 @@ def test_aero_table_rejects_non_finite_query():
 def test_aero_table_csv_round_trip(tmp_path):
     table = AeroTable.naca0015(step_deg=5.0)
     path = tmp_path / "aero.csv"
-    table.save_csv(path, manifest=("# provenance line",))
+    write_table(path, ("# provenance line",), ["alpha_deg", "cl", "cd"],
+                np.stack([table.alpha_deg, table.cl, table.cd], axis=1))
     back = AeroTable.load_csv(path)
     assert np.array_equal(back.alpha_deg, table.alpha_deg)
     assert np.array_equal(back.cl, table.cl)
@@ -387,11 +390,11 @@ def test_spring_load_pulls_effector_toward_anchor():
     model = _arm()
     anchor = np.asarray(model.spring.anchor)
     for q in (np.array([1.2, -0.4]), np.array([-0.5, 1.8]), np.array([2.0, 0.3])):
-        p = model.effector_position(q)
+        p = effector_position(model, q)
         dist = np.linalg.norm(p - anchor)
         stretch = dist - model.spring.rest_length
         qdd = model.forward_dynamics(q, np.zeros(2), np.zeros(2))
-        pdd = model.effector_jacobian(q) @ qdd  # qd = 0, so no Jdot term
+        pdd = effector_jacobian(model, q) @ qdd  # qd = 0, so no Jdot term
         radial = float(pdd @ (p - anchor)) / dist
         assert math.copysign(1.0, radial) == -math.copysign(1.0, stretch)
 
@@ -469,8 +472,8 @@ def test_kinetic_energy_quadratic_form():
     model = _arm()
     q = np.zeros(2)
     # 0.5 * H[0,0] at straight configuration
-    assert model.kinetic_energy(q, np.array([1.0, 0.0])) == pytest.approx(0.1275)
-    assert model.kinetic_energy(q, np.zeros(2)) == 0.0
+    assert kinetic_energy(model, q, np.array([1.0, 0.0])) == pytest.approx(0.1275)
+    assert kinetic_energy(model, q, np.zeros(2)) == 0.0
 
 
 def test_energy_conservation_free_arm():
@@ -487,7 +490,7 @@ def test_energy_conservation_free_arm():
         return np.concatenate([qd, model.forward_dynamics(q, qd, tau)])
 
     y = np.array([0.3, -0.5, 1.0, -2.0])
-    e0 = model.kinetic_energy(y[:2], y[2:])
+    e0 = kinetic_energy(model, y[:2], y[2:])
     dt = 1e-4
     for _ in range(10000):
         k1 = f(y)
@@ -495,7 +498,7 @@ def test_energy_conservation_free_arm():
         k3 = f(y + 0.5 * dt * k2)
         k4 = f(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    e1 = model.kinetic_energy(y[:2], y[2:])
+    e1 = kinetic_energy(model, y[:2], y[2:])
     assert abs(e1 - e0) / e0 < 1e-6
 
 

@@ -17,9 +17,10 @@ from scipy.linalg import solve_triangular
 
 import ctgp.gp as gp_module
 from ctgp.gp import (CholeskyError, FittedGP, GPError, Hyperparameters, MultiGP,
-                     TrainingSet, fit, gram_matrix, kernel_eval,
-                     load_hyperparameters, log_marginal_likelihood,
-                     optimize_hyperparameters, save_hyperparameters)
+                     TrainingSet, fit, gram_matrix, load_hyperparameters,
+                     log_marginal_likelihood, optimize_hyperparameters,
+                     save_hyperparameters)
+from oracles import kernel_eval
 
 
 # Random-instance distribution used by the oracle checks.  sigma_n^2 is kept
@@ -634,6 +635,15 @@ def test_training_set_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1.0,2.0\n")
     with pytest.raises(ValueError):
+        TrainingSet.load_csv(path)
+
+
+def test_training_set_csv_refuses_a_ragged_row(tmp_path):
+    # three 4-field rows under a 3-column header: reshaped by the header they
+    # would read as 4 points with shifted columns
+    path = tmp_path / "ragged.csv"
+    path.write_text("x_1,x_2,y_1\n" + "1.0,2.0,3.0,4.0\n" * 3)
+    with pytest.raises(ValueError, match=r"ragged\.csv, line 2: 4 fields"):
         TrainingSet.load_csv(path)
 
 

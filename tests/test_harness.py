@@ -242,6 +242,28 @@ def test_read_result_csv_requires_header(tmp_path):
         read_result_csv(path)
 
 
+def _ragged_trajectory(path):
+    # one field more per row than the header names: 3 x 4 values, which a
+    # reader that reshapes by the header would take as 4 rows of 3
+    path.write_text("# manifest: controller=ct\nt,q_1,e_1\n"
+                    "0.0,0.0,0.1,9.0\n0.1,0.0,0.1,9.0\n0.2,0.0,0.1,9.0\n")
+    return path
+
+
+def test_read_result_csv_refuses_a_ragged_row(tmp_path):
+    path = _ragged_trajectory(tmp_path / "ragged.csv")
+    with pytest.raises(ConfigError, match=r"ragged\.csv, line 3: 4 fields"):
+        read_result_csv(path)
+
+
+def test_cli_evaluate_ragged_file_exits_1(tmp_path, capsys):
+    path = _ragged_trajectory(tmp_path / "ragged.csv")
+    report = tmp_path / "rmse.csv"
+    assert main(["evaluate", str(path), "--out", str(report)]) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not report.exists()
+
+
 def test_trajectory_rmse_constant_error(tmp_path):
     """Constant e = 0.1 after the skipped transient gives RMSE exactly 0.1."""
     t = np.arange(11) * 0.1
@@ -442,12 +464,18 @@ def test_cli_scenario_name_with_whitespace_exits_1(tmp_path, capsys, name):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("table", [2, [1, 2], "directory"])
+@pytest.mark.parametrize("table", [2, [1, 2], "directory", "header only"])
 def test_cli_bad_aero_table_exits_1_with_a_message(tmp_path, table):
     # a child process, because opening the integer 2 as a path would close
     # the caller's stderr
     raw = _wing_raw()
-    raw["plant"]["aero_table"] = str(tmp_path) if table == "directory" else table
+    if table == "directory":
+        table = str(tmp_path)
+    elif table == "header only":
+        table = tmp_path / "aero.csv"
+        table.write_text("alpha_deg,cl,cd\n")
+        table = str(table)
+    raw["plant"]["aero_table"] = table
     cfg = _write_cfg(tmp_path, raw)
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")

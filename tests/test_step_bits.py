@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 
 from ctgp.control import (ComputedTorqueController, CTGPController, Gains,
-                          PDController, ReferenceSample, _mat_vec,
-                          computed_torque, pd_control)
+                          PDController, ReferenceSample, _mat_vec)
 from ctgp.dynamics import (AeroTable, DynamicsError, JointState,
                            PendulumEstimate, RadialSpring, TwoLinkArm,
                            WingModel, aero_torque)
 from ctgp.gp import Hyperparameters, TrainingSet, fit
 from ctgp.sim import ReferenceTrajectory, SimConfig, simulate
+from oracles import effector_jacobian, effector_position
 
 COUNT = 10_000
 
@@ -86,35 +86,18 @@ def _old_arm_coriolis(arm, q, qd):
     return c
 
 
-def _old_effector_position(arm, q):
-    s1, c1 = np.sin(q[..., 0]), np.cos(q[..., 0])
-    s12, c12 = np.sin(q[..., 0] + q[..., 1]), np.cos(q[..., 0] + q[..., 1])
-    return np.stack([arm.l1 * c1 + arm.l2 * c12, arm.l1 * s1 + arm.l2 * s12], axis=-1)
-
-
-def _old_effector_jacobian(arm, q):
-    s1, c1 = np.sin(q[..., 0]), np.cos(q[..., 0])
-    s12, c12 = np.sin(q[..., 0] + q[..., 1]), np.cos(q[..., 0] + q[..., 1])
-    j = np.zeros(q.shape[:-1] + (2, 2))
-    j[..., 0, 0] = -arm.l1 * s1 - arm.l2 * s12
-    j[..., 0, 1] = -arm.l2 * s12
-    j[..., 1, 0] = arm.l1 * c1 + arm.l2 * c12
-    j[..., 1, 1] = arm.l2 * c12
-    return j
-
-
 def _old_spring_torque(arm, q):
     q = np.asarray(q, dtype=float)
     if arm.spring is None:
         return np.zeros(q.shape)
-    delta = _old_effector_position(arm, q) - np.asarray(arm.spring.anchor, dtype=float)
+    delta = effector_position(arm, q) - np.asarray(arm.spring.anchor, dtype=float)
     dist = np.linalg.norm(delta, axis=-1)
     stretch = dist - arm.spring.rest_length
     magnitude = arm.spring.k1 * stretch + arm.spring.k3 * stretch**3
     safe = np.where(dist > 1e-9, dist, 1.0)
     unit = delta / safe[..., None]
     force = np.where(dist[..., None] > 1e-9, unit * magnitude[..., None], 0.0)
-    return np.einsum("...ji,...j->...i", _old_effector_jacobian(arm, q), force)
+    return np.einsum("...ji,...j->...i", effector_jacobian(arm, q), force)
 
 
 def _old_arm_gravity(arm, q, qd=None):
@@ -177,7 +160,6 @@ def test_arm_products_match_the_matrix_einsum():
                     q, v)
     _each_and_batch(arm.coriolis_times,
                     lambda q, qd, v: _einsum(_old_arm_coriolis(arm, q, qd), v), q, qd, v)
-    _each_and_batch(arm.effector_jacobian, lambda q: _old_effector_jacobian(arm, q), q)
 
 
 def test_arm_spring_and_gravity_match_the_old_expressions():
@@ -295,15 +277,17 @@ def test_laws_match_the_old_expressions(est):
     q, qd = _states(rng, n, math.pi), _states(rng, n, 5.0)
     rq, rqd, rqdd = _states(rng, n, 1.0), _states(rng, n, 5.0), _states(rng, n, 30.0)
 
+    ct, pd_ctl = ComputedTorqueController(est, gains), PDController(gains)
+
     def law(q, qd, rq, rqd, rqdd):
         ref = ReferenceSample(rq, rqd, rqdd)
-        return computed_torque(est, gains, JointState(q, qd), ref).drift
+        return ct.output(JointState(q, qd), ref).drift
 
     def oracle(q, qd, rq, rqd, rqdd):
         return _old_computed_torque(est, gains, q, qd, ReferenceSample(rq, rqd, rqdd))
 
     def pd(q, qd, rq, rqd, rqdd):
-        return pd_control(gains, JointState(q, qd), ReferenceSample(rq, rqd, rqdd)).drift
+        return pd_ctl.output(JointState(q, qd), ReferenceSample(rq, rqd, rqdd)).drift
 
     def pd_oracle(q, qd, rq, rqd, rqdd):
         return (-np.einsum("ij,...j->...i", gains.kp, q - rq)
