@@ -3,16 +3,19 @@
 A scenario fixes everything a run needs: the plant and its estimate, the
 controller, the reference trajectory, the training plan with hyperparameter
 search settings, the integrator setup and the evaluation/check parameters.
-Unknown keys anywhere are rejected, so a typo cannot silently fall back to a
-default.
+
+Each section is a table of YAML key -> parser.  Unknown keys anywhere are
+rejected, so a typo cannot silently fall back to a default; an absent key
+takes the default declared on the object its section builds, and the
+object's own checks report a bad value as a ConfigError naming the section.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -32,60 +35,15 @@ class ConfigError(Exception):
     pass
 
 
-def _require_keys(section: dict, allowed: set[str], required: set[str], where: str):
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {type(section).__name__}")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(section)
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-
-
-def _number(section: dict, key: str, where: str, default=None):
-    value = section.get(key, default)
-    if value is None:
-        raise ConfigError(f"{where}.{key}: required")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}.{key}: must be finite")
-    return float(value)
-
-
-def _integer(section: dict, key: str, where: str, default=None):
-    value = section.get(key, default)
-    if value is None:
-        raise ConfigError(f"{where}.{key}: required")
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
-    return value
-
-
-def _vector(section: dict, key: str, where: str, default=None):
-    value = section.get(key, default)
-    if value is None:
-        raise ConfigError(f"{where}.{key}: required")
-    if not isinstance(value, list) or not value or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise ConfigError(f"{where}.{key}: expected a non-empty list of numbers")
-    return [float(v) for v in value]
-
-
 @dataclass
 class HyperoptSettings:
     budget: int = 40
     restarts: int = 5
-    initial: Hyperparameters = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.initial is None:
-            self.initial = Hyperparameters(2.0, 1.0, 0.01)
+    initial: Hyperparameters = field(
+        default_factory=lambda: Hyperparameters(2.0, 1.0, 0.01))
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Scenario:
     """Fully built scenario plus the raw mapping it came from."""
 
@@ -94,16 +52,16 @@ class Scenario:
     estimate: ManipulatorModel
     controller_kind: str
     gains: Gains
-    controller_mode: str
+    controller_mode: str = "deterministic"
     reference: ReferenceTrajectory
-    training_plan: OpenLoopPlan | ClosedLoopPlan | None
-    exciter_gains: Gains | None
-    hyperopt: HyperoptSettings
-    sim: SimConfig
-    t_skip: float
-    check_probe_count: int
-    check_seed: int
-    check_structural_samples: int
+    training_plan: OpenLoopPlan | ClosedLoopPlan | None = None
+    exciter_gains: Gains | None = None
+    hyperopt: HyperoptSettings = field(default_factory=HyperoptSettings)
+    sim: SimConfig = field(default_factory=SimConfig)
+    t_skip: float = 1.0
+    check_probe_count: int = 2000
+    check_seed: int = 7
+    check_structural_samples: int = 1000
     raw: dict
 
     def fingerprint(self) -> str:
@@ -137,301 +95,306 @@ class Scenario:
         return self.controller_kind == "ct-gp"
 
 
-def _build_plant(cfg: dict) -> ManipulatorModel:
-    where = "plant"
-    kind = cfg.get("kind")
-    if kind == "wing":
-        _require_keys(cfg, {"kind", "inertia", "mass", "lever", "gravity", "airspeed",
-                            "air_density", "chord", "span", "apparent_wind",
-                            "aero_table"}, {"kind"}, where)
-        table_path = cfg.get("aero_table")
-        if table_path is not None and not isinstance(table_path, str):
-            # an int would open a file descriptor, and closing it could close stderr
-            raise ConfigError(f"{where}.aero_table: expected a file path, got {table_path!r}")
-        table = AeroTable.load_csv(table_path) if table_path else AeroTable.naca0015()
-        apparent = cfg.get("apparent_wind", False)
-        if not isinstance(apparent, bool):
-            raise ConfigError(f"{where}.apparent_wind: expected a boolean")
-        return WingModel(
-            inertia=_number(cfg, "inertia", where, 1.0),
-            mass=_number(cfg, "mass", where, 1.0),
-            lever=_number(cfg, "lever", where, 1.0),
-            gravity=_number(cfg, "gravity", where, 9.81),
-            airspeed=_number(cfg, "airspeed", where, 5.0),
-            air_density=_number(cfg, "air_density", where, 1.225),
-            chord=_number(cfg, "chord", where, 0.1),
-            span=_number(cfg, "span", where, 1.0),
-            apparent_wind=apparent,
-            aero_table=table,
-        )
-    if kind == "two-link-arm":
-        _require_keys(cfg, {"kind", "link_lengths", "masses", "com_offsets",
-                            "inertias", "viscous_friction", "coulomb_friction",
-                            "coulomb_velocity_scale", "spring"}, {"kind"}, where)
-        links = _vector(cfg, "link_lengths", where, [0.3, 0.3])
-        masses = _vector(cfg, "masses", where, [1.5, 1.0])
-        coms = _vector(cfg, "com_offsets", where, [0.15, 0.15])
-        default_inertias = [masses[0] * links[0]**2 / 12.0, masses[1] * links[1]**2 / 12.0]
-        inertias = _vector(cfg, "inertias", where, default_inertias)
-        for name, vec in (("link_lengths", links), ("masses", masses),
-                          ("com_offsets", coms), ("inertias", inertias)):
-            if len(vec) != 2:
-                raise ConfigError(f"{where}.{name}: expected exactly 2 entries")
-        spring = None
-        if cfg.get("spring") is not None:
-            scfg = cfg["spring"]
-            _require_keys(scfg, {"anchor", "rest_length", "k1", "k3"},
-                          {"anchor", "rest_length", "k1"}, f"{where}.spring")
-            anchor = _vector(scfg, "anchor", f"{where}.spring")
-            if len(anchor) != 2:
-                raise ConfigError(f"{where}.spring.anchor: expected [x, y]")
-            spring = RadialSpring(
-                anchor=(anchor[0], anchor[1]),
-                rest_length=_number(scfg, "rest_length", f"{where}.spring"),
-                k1=_number(scfg, "k1", f"{where}.spring"),
-                k3=_number(scfg, "k3", f"{where}.spring", 0.0),
-            )
-        return TwoLinkArm(
-            l1=links[0], l2=links[1], m1=masses[0], m2=masses[1],
-            lc1=coms[0], lc2=coms[1], i1=inertias[0], i2=inertias[1],
-            viscous=_number(cfg, "viscous_friction", where, 0.2),
-            coulomb=_number(cfg, "coulomb_friction", where, 0.1),
-            coulomb_velocity_scale=_number(cfg, "coulomb_velocity_scale", where, 0.05),
-            spring=spring,
-        )
-    raise ConfigError(f"{where}.kind: expected 'wing' or 'two-link-arm', got {kind!r}")
+# ---------------------------------------------------------------------------
+# reading a section
 
 
-def _build_estimate(cfg: dict, plant: ManipulatorModel) -> ManipulatorModel:
-    where = "estimate"
-    kind = cfg.get("kind")
-    if kind == "pendulum":
-        _require_keys(cfg, {"kind", "inertia_scale", "lever_mass_scale"}, {"kind"}, where)
-        if not isinstance(plant, WingModel):
-            raise ConfigError(f"{where}: pendulum estimate requires a wing plant")
-        return plant.estimate(
-            inertia_scale=_number(cfg, "inertia_scale", where, 0.9),
-            lever_mass_scale=_number(cfg, "lever_mass_scale", where, 0.9),
-        )
-    if kind == "rigid-arm":
-        _require_keys(cfg, {"kind"}, {"kind"}, where)
-        if not isinstance(plant, TwoLinkArm):
-            raise ConfigError(f"{where}: rigid-arm estimate requires a two-link-arm plant")
-        return plant.rigid_estimate()
-    raise ConfigError(f"{where}.kind: expected 'pendulum' or 'rigid-arm', got {kind!r}")
+# a parser's result for a null value that takes the default, as if absent
+_DEFAULT = object()
 
 
-def _build_gains(cfg: dict, key: str, where: str) -> np.ndarray:
+def _mapping(section, where: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {type(section).__name__}")
+    return section
+
+
+def _read(section, schema: dict, required: set, where: str, prefix: str | None = None
+          ) -> dict:
+    """The parsed values of the keys present in a mapping section.
+
+    `schema` maps each accepted key to its parser, called as
+    parse(value, prefix + key); the prefix defaults to "where.".
+    """
+    prefix = f"{where}." if prefix is None else prefix
+    unknown = set(_mapping(section, where)) - set(schema)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = required - set(section)
+    if missing:
+        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+    values = {key: schema[key](value, prefix + key) for key, value in section.items()}
+    return {key: value for key, value in values.items() if value is not _DEFAULT}
+
+
+def _build(make, where: str, **values):
+    """make(**values), its ValueError or OverflowError reported as a
+    ConfigError naming `where`."""
+    try:
+        return make(**values)
+    except (ValueError, OverflowError) as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
+def _section(make, schema: dict, required: set = frozenset()):
+    """Parser of a section that builds make(**values of the keys present)."""
+    return lambda section, where: _build(make, where, **_read(section, schema, required, where))
+
+
+def _variant(section, where: str, key: str, variants: dict):
+    """(variants entry named by section[key], the section without that key)."""
+    name = _mapping(section, where).get(key)
+    if name not in tuple(variants):  # a tuple: the name may be unhashable
+        names = " or ".join(repr(v) for v in variants)
+        raise ConfigError(f"{where}.{key}: expected {names}, got {name!r}")
+    return variants[name], {k: v for k, v in section.items() if k != key}
+
+
+# ---------------------------------------------------------------------------
+# value parsers: parse(value, where) -> parsed value
+
+
+def _given(value, where):
+    """A value the built object checks itself."""
+    return value
+
+
+def _optional(parse):
+    """parse, with null taking the default as if the key were absent."""
+    return lambda value, where: _DEFAULT if value is None else parse(value, where)
+
+
+def _number(value, where) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # also NaN and ints past the float range
+        raise ConfigError(f"{where}: must be finite")
+    return float(value)
+
+
+def _integer(value, where) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _at_least(low: int):
+    def parse(value, where) -> int:
+        if _integer(value, where) < low:
+            raise ConfigError(f"{where}: expected an integer >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _flag(value, where) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected a boolean, got {value!r}")
+    return value
+
+
+def _choice(*options):
+    def parse(value, where):
+        if value not in options:
+            raise ConfigError(f"{where}: expected one of {options}, got {value!r}")
+        return value
+    return parse
+
+
+def _vector(value, where) -> list[float]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where}: expected a non-empty list of numbers")
+    return [_number(v, where) for v in value]
+
+
+def _pair(value, where) -> tuple[float, float]:
+    vec = _vector(value, where)
+    if len(vec) != 2:
+        raise ConfigError(f"{where}: expected exactly 2 entries, got {len(vec)}")
+    return vec[0], vec[1]
+
+
+def _gain(value, where):
     """Gain entry: flat list = diagonal, nested lists = full matrix."""
-    entry = cfg.get(key)
-    if entry is None:
-        raise ConfigError(f"{where}.{key}: required")
-    if isinstance(entry, list) and entry and all(isinstance(v, list) for v in entry):
-        return np.array(entry, dtype=float)
-    return np.diag(np.asarray(_vector(cfg, key, where), dtype=float))
+    if isinstance(value, list) and value and all(isinstance(v, list) for v in value):
+        return [_vector(row, where) for row in value]
+    return np.diag(_vector(value, where))
 
 
-def _build_controller_section(cfg: dict) -> tuple[str, Gains, str]:
-    where = "controller"
-    _require_keys(cfg, {"kind", "kp", "kd", "mode"}, {"kind", "kp", "kd"}, where)
-    kind = cfg.get("kind")
-    if kind not in CONTROLLER_KINDS:
-        raise ConfigError(f"{where}.kind: expected one of {CONTROLLER_KINDS}, got {kind!r}")
-    try:
-        gains = Gains(_build_gains(cfg, "kp", where), _build_gains(cfg, "kd", where))
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
-    mode = cfg.get("mode", "deterministic")
-    if mode not in ("deterministic", "stochastic"):
-        raise ConfigError(f"{where}.mode: expected deterministic|stochastic, got {mode!r}")
-    if mode == "stochastic" and kind != "ct-gp":
-        raise ConfigError(f"{where}.mode: stochastic applies to ct-gp only")
-    return kind, gains, mode
+def _aero_table(value, where):
+    # an int would open a file descriptor, and closing it could close stderr
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a file path, got {value!r}")
+    return _build(AeroTable.load_csv, where, path=value) if value else _DEFAULT
 
 
-def _build_reference(cfg: dict) -> ReferenceTrajectory:
-    where = "reference"
-    _require_keys(cfg, {"amplitude", "frequency", "phase", "frequency_unit"},
-                  {"amplitude", "frequency"}, where)
-    amplitude = _vector(cfg, "amplitude", where)
-    frequency = _vector(cfg, "frequency", where)
-    phase = _vector(cfg, "phase", where, [0.0] * len(amplitude))
-    unit = cfg.get("frequency_unit", "hz")
-    try:
-        return ReferenceTrajectory(amplitude, frequency, phase, unit)
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
+def _scenario_name(value, where) -> str:
+    # the name is a whitespace-separated manifest value in every result CSV
+    if not isinstance(value, str) or not value or any(c.isspace() for c in value):
+        raise ConfigError(f"scenario.{where}: expected a non-empty string without "
+                          f"whitespace, got {value!r}")
+    return value
 
 
-def _build_training(cfg: dict | None):
-    if cfg is None:
-        return None, None, HyperoptSettings()
-    where = "training"
-    mode = cfg.get("mode")
-    hyperopt = _build_hyperopt(cfg.get("hyperopt"))
-    if mode == "open-loop":
-        _require_keys(cfg, {"mode", "seed", "torque_range", "torque_count",
-                            "position_range", "position_count", "hold_duration",
-                            "dt", "noise_std_q", "noise_std_qd", "hyperopt"},
-                      {"mode", "torque_range", "torque_count", "position_range",
-                       "position_count"}, where)
-        trange = _vector(cfg, "torque_range", where)
-        prange = _vector(cfg, "position_range", where)
-        if len(trange) != 2 or len(prange) != 2:
-            raise ConfigError(f"{where}: ranges are [min, max] pairs")
-        try:
-            plan = OpenLoopPlan.grid(
-                trange, _integer(cfg, "torque_count", where),
-                prange, _integer(cfg, "position_count", where),
-                hold_duration=_number(cfg, "hold_duration", where, 0.5),
-                dt=_number(cfg, "dt", where, 1e-3),
-                noise_std_q=_number(cfg, "noise_std_q", where, 0.0),
-                noise_std_qd=_number(cfg, "noise_std_qd", where, 0.0),
-                seed=_integer(cfg, "seed", where, 0),
-            )
-        except ValueError as err:
-            raise ConfigError(f"{where}: {err}") from err
-        return plan, None, hyperopt
-    if mode == "closed-loop":
-        _require_keys(cfg, {"mode", "seed", "sample_period", "sample_count", "dt",
-                            "duration", "noise_std_q", "noise_std_qd", "exciter",
-                            "hyperopt"},
-                      {"mode", "sample_period", "sample_count", "exciter"}, where)
-        duration = cfg.get("duration")
-        try:
-            plan = ClosedLoopPlan(
-                sample_period=_number(cfg, "sample_period", where, 0.03),
-                sample_count=_integer(cfg, "sample_count", where, 351),
-                dt=_number(cfg, "dt", where, 1e-3),
-                duration=None if duration is None else _number(cfg, "duration", where),
-                noise_std_q=_number(cfg, "noise_std_q", where, 1e-3),
-                noise_std_qd=_number(cfg, "noise_std_qd", where, 1e-2),
-                seed=_integer(cfg, "seed", where, 0),
-            )
-        except ValueError as err:
-            raise ConfigError(f"{where}: {err}") from err
-        ecfg = cfg["exciter"]
-        _require_keys(ecfg, {"kind", "kp", "kd"}, {"kp", "kd"}, f"{where}.exciter")
-        ekind = ecfg.get("kind", "hg-pd")
-        if ekind not in ("hg-pd", "lg-pd"):
-            raise ConfigError(f"{where}.exciter.kind: expected hg-pd|lg-pd")
-        try:
-            exciter = Gains(_build_gains(ecfg, "kp", f"{where}.exciter"),
-                            _build_gains(ecfg, "kd", f"{where}.exciter"))
-        except ValueError as err:
-            raise ConfigError(f"{where}.exciter: {err}") from err
-        return plan, exciter, hyperopt
-    raise ConfigError(f"{where}.mode: expected 'open-loop' or 'closed-loop', got {mode!r}")
+# ---------------------------------------------------------------------------
+# section tables
 
 
-def _build_hyperopt(cfg: dict | None) -> HyperoptSettings:
-    if cfg is None:
-        return HyperoptSettings()
-    where = "training.hyperopt"
-    _require_keys(cfg, {"budget", "restarts", "initial"}, set(), where)
-    initial = None
-    if cfg.get("initial") is not None:
-        icfg = cfg["initial"]
-        _require_keys(icfg, {"length_scale", "signal_variance", "noise_variance"},
-                      set(), f"{where}.initial")
-        try:
-            initial = Hyperparameters(
-                length_scale=_number(icfg, "length_scale", where, 2.0),
-                signal_variance=_number(icfg, "signal_variance", where, 1.0),
-                noise_variance=_number(icfg, "noise_variance", where, 0.01),
-            )
-        except ValueError as err:
-            raise ConfigError(f"{where}.initial: {err}") from err
-    settings = HyperoptSettings(
-        budget=_integer(cfg, "budget", where, 40),
-        restarts=_integer(cfg, "restarts", where, 5),
-        initial=initial,
-    )
-    if settings.budget < 0 or settings.restarts < 1:
-        raise ConfigError(f"{where}: budget >= 0 and restarts >= 1 required")
-    return settings
+# YAML key -> TwoLinkArm fields, one per link for the list keys
+_ARM_FIELDS = {"link_lengths": ("l1", "l2"), "masses": ("m1", "m2"),
+               "com_offsets": ("lc1", "lc2"), "inertias": ("i1", "i2"),
+               "viscous_friction": ("viscous",), "coulomb_friction": ("coulomb",)}
 
 
-def _build_sim(cfg: dict | None) -> SimConfig:
-    if cfg is None:
-        return SimConfig()
-    where = "sim"
-    _require_keys(cfg, {"dt", "duration", "integrator", "realizations", "base_seed",
-                        "lyapunov_epsilon", "lyapunov_trace", "divergence_threshold"},
-                  set(), where)
-    integrator = cfg.get("integrator", "rk4")
-    trace = cfg.get("lyapunov_trace", False)
-    if not isinstance(trace, bool):
-        raise ConfigError(f"{where}.lyapunov_trace: expected a boolean")
-    try:
-        return SimConfig(
-            dt=_number(cfg, "dt", where, 1e-3),
-            duration=_number(cfg, "duration", where, 10.0),
-            integrator=integrator,
-            realizations=_integer(cfg, "realizations", where, 1),
-            base_seed=_integer(cfg, "base_seed", where, 0),
-            lyapunov_epsilon=_number(cfg, "lyapunov_epsilon", where, 0.1),
-            lyapunov_trace=trace,
-            divergence_threshold=_number(cfg, "divergence_threshold", where, 1e6),
-        )
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
+def _two_link_arm(**values) -> TwoLinkArm:
+    """The arm from its plant keys; without `inertias` each link is a uniform
+    rod about its center, m l^2 / 12."""
+    fields = {}
+    for key, value in values.items():
+        names = _ARM_FIELDS.get(key, (key,))
+        fields.update(zip(names, value if len(names) == 2 else (value,)))
+    arm = TwoLinkArm(**fields)
+    if "inertias" in values:
+        return arm
+    return replace(arm, i1=arm.m1 * arm.l1**2 / 12.0, i2=arm.m2 * arm.l2**2 / 12.0)
+
+
+_PLANTS = {
+    "wing": _section(WingModel, {
+        "inertia": _number, "mass": _number, "lever": _number, "gravity": _number,
+        "airspeed": _number, "air_density": _number, "chord": _number,
+        "span": _number, "apparent_wind": _flag, "aero_table": _optional(_aero_table),
+    }),
+    "two-link-arm": _section(_two_link_arm, {
+        "link_lengths": _pair, "masses": _pair, "com_offsets": _pair,
+        "inertias": _pair, "viscous_friction": _number, "coulomb_friction": _number,
+        "coulomb_velocity_scale": _number,
+        "spring": _optional(_section(RadialSpring, {
+            "anchor": _pair, "rest_length": _number, "k1": _number, "k3": _number,
+        }, {"anchor", "rest_length", "k1"})),
+    }),
+}
+
+# estimate kind -> (plant kind it needs, its keys, how it derives from the plant)
+_ESTIMATES = {
+    "pendulum": ("wing", {"inertia_scale": _number, "lever_mass_scale": _number},
+                 WingModel.estimate),
+    "rigid-arm": ("two-link-arm", {}, TwoLinkArm.rigid_estimate),
+}
+
+
+def _initial_point(**values) -> Hyperparameters:
+    """The search's initial point; an absent key keeps the default point's value."""
+    return replace(HyperoptSettings().initial, **values)
+
+
+_HYPEROPT = _optional(_section(HyperoptSettings, {
+    "budget": _at_least(0), "restarts": _at_least(1),
+    "initial": _optional(_section(_initial_point, {
+        "length_scale": _number, "signal_variance": _number, "noise_variance": _number,
+    })),
+}))
+
+_COMMON_PLAN = {"seed": _integer, "dt": _number, "noise_std_q": _number,
+                "noise_std_qd": _number, "hyperopt": _HYPEROPT}
+
+# training mode -> (plan constructor, its keys, the required ones)
+_PLANS = {
+    "open-loop": (OpenLoopPlan.grid, {
+        **_COMMON_PLAN, "torque_range": _pair, "torque_count": _integer,
+        "position_range": _pair, "position_count": _integer, "hold_duration": _number,
+    }, {"torque_range", "torque_count", "position_range", "position_count"}),
+    "closed-loop": (ClosedLoopPlan, {
+        **_COMMON_PLAN, "sample_period": _number, "sample_count": _integer,
+        "duration": _optional(_number),
+        # the exciter kind only names its PD law: both kinds run the same one
+        "exciter": _section(lambda kp, kd, kind=None: Gains(kp, kd), {
+            "kind": _choice("hg-pd", "lg-pd"), "kp": _gain, "kd": _gain,
+        }, {"kp", "kd"}),
+    }, {"sample_period", "sample_count", "exciter"}),
+}
+
+
+def _plant(section, where) -> ManipulatorModel:
+    parse, rest = _variant(section, where, "kind", _PLANTS)
+    return parse(rest, where)
+
+
+def _estimate(section, plant_kind: str, plant: ManipulatorModel) -> ManipulatorModel:
+    where = "estimate"
+    (needs, schema, derive), rest = _variant(section, where, "kind", _ESTIMATES)
+    if plant_kind != needs:
+        raise ConfigError(f"{where}: {section['kind']} estimate requires a {needs} plant")
+    return derive(plant, **_read(rest, schema, set(), where))
+
+
+def _control_law(kp, kd, **law) -> dict:
+    """Scenario fields of the controller section: gains, kind and mode."""
+    if law.get("mode") == "stochastic" and law["kind"] != "ct-gp":
+        raise ConfigError("controller.mode: stochastic applies to ct-gp only")
+    return {"gains": Gains(kp, kd), **{f"controller_{key}": v for key, v in law.items()}}
+
+
+def _training(section, where) -> dict:
+    """Scenario fields of the training section: plan, exciter, search settings."""
+    (make, schema, required), rest = _variant(section, where, "mode", _PLANS)
+    values = _read(rest, schema, required, where)
+    fields = {name: values.pop(key) for key, name in
+              (("hyperopt", "hyperopt"), ("exciter", "exciter_gains")) if key in values}
+    fields["training_plan"] = _build(make, where, **values)
+    return fields
+
+
+_SCENARIO = {
+    "name": _scenario_name,
+    "plant": _plant,
+    "estimate": _given,  # built from the plant below
+    "controller": _section(_control_law, {
+        "kind": _choice(*CONTROLLER_KINDS), "kp": _gain, "kd": _gain,
+        "mode": _choice("deterministic", "stochastic"),
+    }, {"kind", "kp", "kd"}),
+    "reference": _section(ReferenceTrajectory, {
+        "amplitude": _vector, "frequency": _vector, "phase": _vector,
+        "frequency_unit": _given,
+    }, {"amplitude", "frequency"}),
+    "training": _optional(_training),
+    "sim": _optional(_section(lambda **values: {"sim": SimConfig(**values)}, {
+        "dt": _number, "duration": _number, "integrator": _given,
+        "realizations": _integer, "base_seed": _integer,
+        "lyapunov_epsilon": _number, "lyapunov_trace": _flag,
+        "divergence_threshold": _number,
+    })),
+    "evaluate": _optional(_section(dict, {"t_skip": _number})),
+    "check": _optional(_section(
+        lambda **values: {f"check_{key}": value for key, value in values.items()},
+        {"probe_count": _at_least(1), "seed": _integer,
+         "structural_samples": _at_least(1)})),
+}
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"scenario root: expected a mapping, got {type(raw).__name__}")
-    _require_keys(raw, {"name", "plant", "estimate", "controller", "reference",
-                        "training", "sim", "evaluate", "check"},
-                  {"name", "plant", "estimate", "controller", "reference"}, "scenario")
-    name = raw.get("name")
-    # the name is a whitespace-separated manifest value in every result CSV
-    if not isinstance(name, str) or not name or any(c.isspace() for c in name):
-        raise ConfigError(f"scenario.name: expected a non-empty string without "
-                          f"whitespace, got {name!r}")
-    plant = _build_plant(raw["plant"])
-    estimate = _build_estimate(raw["estimate"], plant)
-    kind, gains, mode = _build_controller_section(raw["controller"])
-    reference = _build_reference(raw["reference"])
-    if reference.n != plant.n:
-        raise ConfigError(
-            f"reference dimension {reference.n} != plant dimension {plant.n}"
-        )
-    if gains.n != plant.n:
-        raise ConfigError(f"gain dimension {gains.n} != plant dimension {plant.n}")
-    plan, exciter, hyperopt = _build_training(raw.get("training"))
-    if isinstance(plan, OpenLoopPlan) and plant.n != 1:
-        raise ConfigError("training.mode open-loop requires a 1-dof plant")
-    if isinstance(plan, ClosedLoopPlan) and exciter is not None and exciter.n != plant.n:
-        raise ConfigError("training.exciter gain dimension mismatch")
-    sim = _build_sim(raw.get("sim"))
-    ecfg = raw.get("evaluate") or {}
-    _require_keys(ecfg, {"t_skip"}, set(), "evaluate")
-    t_skip = _number(ecfg, "t_skip", "evaluate", 1.0)
-    if t_skip < 0 or t_skip >= sim.duration:
-        raise ConfigError(f"evaluate.t_skip must lie in [0, duration), got {t_skip}")
-    ccfg = raw.get("check") or {}
-    _require_keys(ccfg, {"probe_count", "seed", "structural_samples"}, set(), "check")
-    if mode == "stochastic" and sim.integrator != "euler-maruyama":
-        raise ConfigError("controller.mode stochastic requires sim.integrator euler-maruyama")
-    return Scenario(
-        name=name,
-        plant=plant,
-        estimate=estimate,
-        controller_kind=kind,
-        gains=gains,
-        controller_mode=mode,
-        reference=reference,
-        training_plan=plan,
-        exciter_gains=exciter,
-        hyperopt=hyperopt,
-        sim=sim,
-        t_skip=t_skip,
-        check_probe_count=_integer(ccfg, "probe_count", "check", 2000),
-        check_seed=_integer(ccfg, "seed", "check", 7),
-        check_structural_samples=_integer(ccfg, "structural_samples", "check", 1000),
-        raw=raw,
+    top = _read(raw, _SCENARIO, {"name", "plant", "estimate", "controller", "reference"},
+                "scenario", prefix="")
+    plant = top["plant"]
+    s = Scenario(
+        name=top["name"], plant=plant,
+        estimate=_estimate(top["estimate"], raw["plant"]["kind"], plant),
+        reference=top["reference"], **top["controller"],
+        **top.get("training", {}), **top.get("sim", {}), **top.get("evaluate", {}),
+        **top.get("check", {}), raw=raw,
     )
+    if s.reference.n != plant.n:
+        raise ConfigError(f"reference dimension {s.reference.n} != plant dimension {plant.n}")
+    if s.gains.n != plant.n:
+        raise ConfigError(f"gain dimension {s.gains.n} != plant dimension {plant.n}")
+    if isinstance(s.training_plan, OpenLoopPlan) and plant.n != 1:
+        raise ConfigError("training.mode open-loop requires a 1-dof plant")
+    if s.exciter_gains is not None and s.exciter_gains.n != plant.n:
+        raise ConfigError("training.exciter gain dimension mismatch")
+    if not 0 <= s.t_skip < s.sim.duration:
+        raise ConfigError(f"evaluate.t_skip must lie in [0, duration), got {s.t_skip}")
+    if s.controller_mode == "stochastic" and s.sim.integrator != "euler-maruyama":
+        raise ConfigError("controller.mode stochastic requires sim.integrator euler-maruyama")
+    return s
 
 
 def load_scenario(path) -> Scenario:

@@ -48,7 +48,8 @@ def read_table(path) -> tuple[dict[str, str], list[str], np.ndarray]:
     """(manifest pairs, column names, (rows, columns) float data) of a table.
 
     Raises ValueError for a file without a header and, naming the file and
-    line, for a row whose field count differs from the header's.
+    line, for a row whose field count differs from the header's or that holds
+    a cell that is not a number.
     """
     manifest: dict[str, str] = {}
     header: list[str] | None = None
@@ -72,7 +73,10 @@ def read_table(path) -> tuple[dict[str, str], list[str], np.ndarray]:
             if len(fields) != len(header):
                 raise ValueError(f"{path}, line {lineno}: {len(fields)} fields "
                                  f"under a header of {len(header)}")
-            rows.append([float(v) for v in fields])
+            try:
+                rows.append([float(v) for v in fields])
+            except ValueError as err:
+                raise ValueError(f"{path}, line {lineno}: {err}") from None
     if header is None:
         raise ValueError(f"{path}: no header row")
     return manifest, header, np.array(rows, dtype=float).reshape(len(rows), len(header))

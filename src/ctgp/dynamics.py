@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -531,22 +531,13 @@ class TwoLinkArm(ManipulatorModel):
 
     def rigid_estimate(self) -> "TwoLinkArm":
         """Friction-free, band-free copy (the rigid-body CAD model)."""
-        return TwoLinkArm(
-            l1=self.l1, l2=self.l2, m1=self.m1, m2=self.m2,
-            lc1=self.lc1, lc2=self.lc2, i1=self.i1, i2=self.i2,
-            viscous=0.0, coulomb=0.0, spring=None,
-        )
+        return replace(self, viscous=0.0, coulomb=0.0, spring=None)
 
     def spring_estimate(self) -> "TwoLinkArm":
         """Rigid estimate plus the band's linear term only."""
         if self.spring is None:
             raise DynamicsError("plant has no spring to linearize")
-        est = self.rigid_estimate()
-        return TwoLinkArm(
-            l1=est.l1, l2=est.l2, m1=est.m1, m2=est.m2,
-            lc1=est.lc1, lc2=est.lc2, i1=est.i1, i2=est.i2,
-            viscous=0.0, coulomb=0.0, spring=self.spring.linearized(),
-        )
+        return replace(self.rigid_estimate(), spring=self.spring.linearized())
 
 
 # ---------------------------------------------------------------------------

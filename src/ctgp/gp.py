@@ -1,8 +1,9 @@
 """Exact multi-output Gaussian process regression with a squared-exponential kernel.
 
 Each output dimension is an independent zero-mean GP over a shared set of
-training inputs.  Fitting factors the regularized Gram matrix once per output
-(Cholesky), solves for the mean weights and then inverts the factor in its own
+training inputs.  Fitting computes the inputs' squared distances once for all
+outputs, factors the regularized Gram matrix once per output (Cholesky),
+solves for the mean weights and then inverts the factor in its own
 storage (LAPACK trtri), so a fitted output keeps L^-1 and the weights.  A
 prediction computes the query-to-training squared distances once for all
 outputs and builds each output's cross kernel k* once; the mean is k* alpha,
@@ -173,19 +174,21 @@ class TrainingSet:
         idx = np.array(picked)
         return TrainingSet(self.inputs[:, idx], self.outputs[idx, :])
 
+    @staticmethod
+    def _header(d: int, n: int) -> list[str]:
+        return [f"x_{j + 1}" for j in range(d)] + [f"y_{j + 1}" for j in range(n)]
+
     def save_csv(self, path, manifest: tuple[str, ...] = ()):
         """Write one row per point, columns x_1..x_d, y_1..y_n."""
-        header = ([f"x_{j + 1}" for j in range(self.input_dim)]
-                  + [f"y_{j + 1}" for j in range(self.output_dim)])
-        write_table(path, manifest, header,
+        write_table(path, manifest, self._header(self.input_dim, self.output_dim),
                     np.concatenate([self.inputs.T, self.outputs], axis=1))
 
     @classmethod
     def load_csv(cls, path) -> "TrainingSet":
+        """Read a save_csv file; its header must be x_1..x_d,y_1..y_n in order."""
         _, header, data = read_table(path)
         d = sum(1 for c in header if c.startswith("x_"))
-        n = sum(1 for c in header if c.startswith("y_"))
-        if d + n != len(header) or d == 0 or n == 0:
+        if d in (0, len(header)) or header != cls._header(d, len(header) - d):
             raise ValueError(f"{path}: header must be x_1..x_d,y_1..y_n, got {header}")
         return cls(data[:, :d].T, data[:, d:])
 
@@ -217,36 +220,34 @@ def _self_sq_dists(a: np.ndarray) -> np.ndarray:
     return d2
 
 
-def gram_matrix(inputs: np.ndarray, hp: Hyperparameters) -> np.ndarray:
-    """Regularized Gram matrix K + sigma_n^2 I over (d, m) inputs."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2:
-        raise ValueError(f"inputs must be (d, m), got shape {inputs.shape}")
-    pts = inputs.T
-    d2 = _self_sq_dists(pts)
-    k = hp.signal_variance * np.exp(-d2 / (2.0 * hp.length_scale**2))
-    k[np.diag_indices_from(k)] += hp.noise_variance
+def _se_kernel(d2: np.ndarray, hp: Hyperparameters) -> np.ndarray:
+    """Squared-exponential kernel sigma_f^2 exp(-d2 / (2 lambda^2)) from
+    squared distances d2, in a new array."""
+    k = np.divide(d2, -2.0 * hp.length_scale**2)
+    np.exp(k, out=k)
+    k *= hp.signal_variance
     return k
 
 
-def _cholesky_lower(k: np.ndarray, output_index: int,
-                    overwrite: bool = False) -> np.ndarray:
-    """Lower Cholesky factor; raises CholeskyError with the failing pivot.
+def _factor(k: np.ndarray, y: np.ndarray, hp: Hyperparameters,
+            output_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """(L, alpha) for the symmetric C-ordered noise-free kernel k.
 
-    With `overwrite`, the symmetric C-ordered `k` is factored in its own
-    storage (k is destroyed) instead of in a copy.
+    L is the lower Cholesky factor of k + sigma_n^2 I, computed in k's own
+    storage (k is destroyed), and alpha solves (k + sigma_n^2 I) alpha = y.
+    Raises CholeskyError with the failing pivot.
     """
+    k[np.diag_indices_from(k)] += hp.noise_variance
     diag = k.diagonal().copy()
     # k.T is the same symmetric matrix in Fortran order, so LAPACK needs no copy
-    c, info = dpotrf(k.T if overwrite else k, lower=1, clean=1,
-                     overwrite_a=int(overwrite))
+    low, info = dpotrf(k.T, lower=1, clean=1, overwrite_a=1)
     if info > 0:
         j = info - 1  # first leading minor that is not positive definite
-        pivot = diag[j] - float(np.sum(c[j, :j] ** 2))
+        pivot = diag[j] - float(np.sum(low[j, :j] ** 2))
         raise CholeskyError(output_index, pivot)
     if info < 0:
         raise GPError(f"illegal value in Cholesky argument {-info}")
-    return c
+    return low, cho_solve((low, True), y)
 
 
 def _invert_factor(low: np.ndarray, output_index: int) -> np.ndarray:
@@ -286,11 +287,7 @@ class FittedGP:
 
     def cross_kernel(self, d2: np.ndarray) -> np.ndarray:
         """Kernel rows k* (b, m) from query-to-training squared distances d2."""
-        hp = self.hyperparameters
-        ks = np.divide(d2, -2.0 * hp.length_scale**2)
-        np.exp(ks, out=ks)
-        ks *= hp.signal_variance
-        return ks
+        return _se_kernel(d2, self.hyperparameters)
 
     def variance(self, ks: np.ndarray) -> np.ndarray:
         """Posterior variance (noise-free, latent-function) from k* (b, m) -> (b,).
@@ -406,11 +403,10 @@ def fit(train: TrainingSet, hypers: list[Hyperparameters]) -> MultiGP:
         )
     if train.size == 0:
         return MultiGP.empty(train.input_dim, train.output_dim, list(hypers))
+    d2 = _self_sq_dists(train.inputs.T)
     comps = []
     for i, hp in enumerate(hypers):
-        k = gram_matrix(train.inputs, hp)
-        low = _cholesky_lower(k, i)
-        alpha = cho_solve((low, True), train.outputs[:, i])
+        low, alpha = _factor(_se_kernel(d2, hp), train.outputs[:, i], hp, i)
         comps.append(FittedGP(hp, train.inputs, _invert_factor(low, i), alpha))
     return MultiGP(comps, train.input_dim)
 
@@ -432,13 +428,8 @@ def _lml_value(d2: np.ndarray, y: np.ndarray, hp: Hyperparameters,
     Returns the value and the state the gradient step consumes.  Raises
     CholeskyError when the regularized Gram matrix is not positive definite.
     """
-    k_se = np.divide(d2, -2.0 * hp.length_scale**2)
-    np.exp(k_se, out=k_se)
-    k_se *= hp.signal_variance
-    k = k_se.copy()
-    k[np.diag_indices_from(k)] += hp.noise_variance
-    low = _cholesky_lower(k, output_index, overwrite=True)
-    alpha = cho_solve((low, True), y)
+    k_se = _se_kernel(d2, hp)
+    low, alpha = _factor(k_se.copy(), y, hp, output_index)
     value = (
         -0.5 * float(y @ alpha)
         - float(np.sum(np.log(np.diag(low))))

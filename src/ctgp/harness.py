@@ -23,7 +23,7 @@ from .dynamics import check_structural_properties
 from .gp import (Hyperparameters, MultiGP, TrainingSet, fit,
                  load_hyperparameters, log_marginal_likelihood,
                  optimize_hyperparameters, save_hyperparameters)
-from .sim import DivergenceError, run_ensemble, simulate
+from .sim import DivergenceError, rmse_after, run_ensemble, simulate
 from .training import (ClosedLoopPlan, OpenLoopPlan, generate_closed_loop,
                        generate_open_loop)
 
@@ -225,19 +225,18 @@ def read_result_csv(path) -> tuple[dict, list[str], np.ndarray]:
         raise ConfigError(str(err)) from err
 
 
-def trajectory_rmse(path, t_skip: float) -> tuple[str, int, np.ndarray]:
-    """(controller label, joint count, per-joint RMSE) for one trajectory CSV."""
-    meta, header, data = read_result_csv(path)
-    cols = {name: i for i, name in enumerate(header)}
+def trajectory_rmse(path, table, t_skip: float) -> tuple[str, int, np.ndarray]:
+    """(controller label, joint count, per-joint RMSE) of the trajectory CSV
+    at `path`, from its `table` as read_result_csv parsed it."""
+    meta, header, data = table
     n = sum(1 for name in header if name.startswith("e_"))
-    if n == 0 or "t" not in cols:
+    if n == 0 or "t" not in header:
         raise ConfigError(f"{path}: not a trajectory file (needs t and e_* columns)")
-    t = data[:, cols["t"]]
-    mask = t >= t_skip - 1e-12
-    if not np.any(mask):
-        raise ConfigError(f"{path}: t_skip {t_skip} leaves no samples")
-    e = np.stack([data[:, cols[f"e_{j + 1}"]] for j in range(n)], axis=1)
-    rmse = np.sqrt(np.mean(e[mask] ** 2, axis=0))
+    e = np.stack([data[:, header.index(f"e_{j + 1}")] for j in range(n)], axis=1)
+    try:
+        rmse = rmse_after(data[:, header.index("t")], e, t_skip)
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from err
     label = meta.get("controller", os.path.basename(path))
     return label, n, rmse
 
@@ -249,12 +248,9 @@ def run_evaluate(paths, t_skip: float, out_path) -> list[tuple[str, np.ndarray]]
     grids = []
     table = []
     for path in paths:
-        meta, header, data = read_result_csv(path)
-        cols = {name: i for i, name in enumerate(header)}
-        if "t" not in cols:
-            raise ConfigError(f"{path}: missing t column")
-        grids.append(data[:, cols["t"]])
-        label, n, rmse = trajectory_rmse(path, t_skip)
+        _, header, data = parsed = read_result_csv(path)
+        label, _, rmse = trajectory_rmse(path, parsed, t_skip)
+        grids.append(data[:, header.index("t")])
         table.append((label, rmse))
     base = grids[0]
     for grid in grids[1:]:

@@ -83,10 +83,12 @@ class ReferenceTrajectory:
 
     amplitude: np.ndarray
     frequency: np.ndarray
-    phase: np.ndarray
+    phase: np.ndarray | None = None  # None: zero on every joint
     frequency_unit: str = "hz"
 
     def __post_init__(self):
+        if self.phase is None:
+            object.__setattr__(self, "phase", np.zeros(np.shape(self.amplitude)))
         for name in ("amplitude", "frequency", "phase"):
             arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if arr.ndim != 1 or not np.all(np.isfinite(arr)):
@@ -179,6 +181,14 @@ class SimConfig:
         return int(round(self.duration / self.dt))
 
 
+def rmse_after(t: np.ndarray, e: np.ndarray, t_skip: float) -> np.ndarray:
+    """Per-joint root-mean-square of the errors e (steps, n) over t >= t_skip."""
+    mask = t >= t_skip - 1e-12
+    if not np.any(mask):
+        raise ValueError(f"t_skip {t_skip} leaves no samples")
+    return np.sqrt(np.mean(e[mask] ** 2, axis=0))
+
+
 # the per-step arrays of a run, in the column order of its CSV
 _RECORDED = ("q", "qd", "e", "ed", "tau", "gp_mean", "gp_std")
 
@@ -216,10 +226,7 @@ class SimResult:
 
     def rmse(self, t_skip: float = 0.0) -> np.ndarray:
         """Per-joint root-mean-square of e over t >= t_skip."""
-        mask = self.t >= t_skip - 1e-12
-        if not np.any(mask):
-            raise ValueError(f"t_skip {t_skip} leaves no samples")
-        return np.sqrt(np.mean(self.e[mask] ** 2, axis=0))
+        return rmse_after(self.t, self.e, t_skip)
 
     def to_csv(self, path, manifest: tuple[str, ...] = ()):
         cols = ["t"] + [f"{key}_{j + 1}" for key in _RECORDED for j in range(self.n)]

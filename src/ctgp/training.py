@@ -99,7 +99,7 @@ class ClosedLoopPlan:
         if self.sample_period <= 0 or self.dt <= 0 or self.sample_count < 1:
             raise ValueError("sample_period, dt, sample_count must be positive")
         ratio = self.sample_period / self.dt
-        if abs(ratio - round(ratio)) > 1e-9:
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
             raise ValueError(
                 f"sample_period {self.sample_period} must be an integer multiple "
                 f"of dt {self.dt}"

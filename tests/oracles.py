@@ -1,14 +1,17 @@
 """Reference expressions the tests compare the package against.
 
 Plain, unoptimized forms of quantities the package itself no longer needs:
-the squared-exponential kernel of one pair of points, the kinetic energy of
-a model and the 2-link arm's effector position and Jacobian.
+the squared-exponential kernel of one pair of points and its regularized
+Gram matrix, the kinetic energy of a model and the 2-link arm's effector
+position and Jacobian.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from ctgp.gp import _self_sq_dists
 
 
 def kernel_eval(x, x_prime, hp) -> float:
@@ -21,6 +24,18 @@ def kernel_eval(x, x_prime, hp) -> float:
         raise ValueError("kernel inputs must be finite")
     r2 = float(np.sum((x - x_prime) ** 2))
     return hp.signal_variance * math.exp(-r2 / (2.0 * hp.length_scale**2))
+
+
+def gram_matrix(inputs: np.ndarray, hp) -> np.ndarray:
+    """Regularized Gram matrix K + sigma_n^2 I over (d, m) inputs."""
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim != 2:
+        raise ValueError(f"inputs must be (d, m), got shape {inputs.shape}")
+    pts = inputs.T
+    d2 = _self_sq_dists(pts)
+    k = hp.signal_variance * np.exp(-d2 / (2.0 * hp.length_scale**2))
+    k[np.diag_indices_from(k)] += hp.noise_variance
+    return k
 
 
 def kinetic_energy(model, q, qd):

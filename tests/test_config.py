@@ -8,15 +8,22 @@ needs a 1-dof plant) rather than failing later at run time.
 from __future__ import annotations
 
 import copy
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ctgp.config import ConfigError, load_scenario, scenario_from_dict
 from ctgp.control import (ComputedTorqueController, CTGPController,
                           PDController)
-from ctgp.dynamics import PendulumEstimate, TwoLinkArm, WingModel
+from ctgp.dynamics import AeroTable, PendulumEstimate, TwoLinkArm, WingModel
+from ctgp.gp import Hyperparameters
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _wing_raw() -> dict:
@@ -92,6 +99,76 @@ def test_arm_scenario_builds():
     assert not s.needs_gp
     # unset check section falls back to defaults
     assert s.check_probe_count == 2000 and s.check_seed == 7
+
+
+# The schema's default for every optional key, pinned here once: the objects
+# the sections build declare them, and an absent key must give these values.
+_DEFAULTS = {
+    "wing": dict(inertia=1.0, mass=1.0, lever=1.0, gravity=9.81, airspeed=5.0,
+                 air_density=1.225, chord=0.1, span=1.0, apparent_wind=False),
+    "pendulum": dict(inertia=0.9 * 1.0, lever_mass=0.9 * 1.0 * 1.0, gravity=9.81),
+    "arm": dict(l1=0.3, l2=0.3, m1=1.5, m2=1.0, lc1=0.15, lc2=0.15,
+                i1=1.5 * 0.3**2 / 12.0, i2=1.0 * 0.3**2 / 12.0, viscous=0.2,
+                coulomb=0.1, coulomb_velocity_scale=0.05),
+    "spring": dict(k3=0.0),
+    "open-loop": dict(hold_duration=0.5, dt=1e-3, noise_std_q=0.0,
+                      noise_std_qd=0.0, seed=0),
+    "closed-loop": dict(dt=1e-3, duration=None, noise_std_q=1e-3,
+                        noise_std_qd=1e-2, seed=0),
+    "hyperopt": dict(budget=40, restarts=5),
+    "initial": dict(length_scale=2.0, signal_variance=1.0, noise_variance=0.01),
+    "sim": dict(dt=1e-3, duration=10.0, integrator="rk4", realizations=1,
+                base_seed=0, lyapunov_epsilon=0.1, lyapunov_trace=False,
+                divergence_threshold=1e6),
+    "scenario": dict(controller_mode="deterministic", t_skip=1.0,
+                     check_probe_count=2000, check_seed=7,
+                     check_structural_samples=1000),
+    "reference": dict(frequency_unit="hz"),
+}
+
+
+def _fields(obj, names) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+def test_required_keys_alone_take_every_default():
+    wing = scenario_from_dict({
+        "name": "wing-min", "plant": {"kind": "wing"}, "estimate": {"kind": "pendulum"},
+        "controller": {"kind": "ct-gp", "kp": [5.0], "kd": [5.0]},
+        "reference": {"amplitude": [0.3], "frequency": [1.0]},
+        "training": {"mode": "open-loop", "torque_range": [-8.0, 8.0], "torque_count": 3,
+                     "position_range": [-3.0, 3.0], "position_count": 2},
+    })
+    arm = scenario_from_dict({
+        "name": "arm-min",
+        "plant": {"kind": "two-link-arm",
+                  "spring": {"anchor": [0.45, -0.15], "rest_length": 0.1, "k1": 15.0}},
+        "estimate": {"kind": "rigid-arm"},
+        "controller": {"kind": "ct", "kp": [20.0, 15.0], "kd": [5.0, 5.0]},
+        "reference": {"amplitude": [0.6, 0.6], "frequency": [1.0, 2.0]},
+        "training": {"mode": "closed-loop", "sample_period": 0.03, "sample_count": 20,
+                     "exciter": {"kp": [800.0, 600.0], "kd": [5.0, 5.0]},
+                     "hyperopt": {"initial": {"length_scale": 3.0}}},
+    })
+    d = _DEFAULTS
+    assert _fields(wing.plant, d["wing"]) == d["wing"]
+    table = AeroTable.naca0015()
+    for name in ("alpha_deg", "cl", "cd"):
+        assert np.array_equal(getattr(wing.plant.aero_table, name), getattr(table, name))
+    assert _fields(wing.estimate, d["pendulum"]) == d["pendulum"]
+    assert _fields(arm.plant, d["arm"]) == d["arm"]
+    assert _fields(arm.plant.spring, d["spring"]) == d["spring"]
+    assert _fields(wing.training_plan, d["open-loop"]) == d["open-loop"]
+    assert _fields(arm.training_plan, d["closed-loop"]) == d["closed-loop"]
+    for s in (wing, arm):
+        assert _fields(s.hyperopt, d["hyperopt"]) == d["hyperopt"]
+        assert _fields(s.sim, d["sim"]) == d["sim"]
+        assert _fields(s, d["scenario"]) == d["scenario"]
+        assert _fields(s.reference, d["reference"]) == d["reference"]
+        assert np.array_equal(s.reference.phase, np.zeros(s.plant.n))
+    assert wing.hyperopt.initial == Hyperparameters(**d["initial"])
+    # a partial initial point takes the rest of the default one
+    assert arm.hyperopt.initial == Hyperparameters(**{**d["initial"], "length_scale": 3.0})
 
 
 def test_scenario_without_training_section():
@@ -223,6 +300,10 @@ def test_field_type_errors():
     raw = _wing_raw()
     raw["sim"]["lyapunov_trace"] = "yes"
     with pytest.raises(ConfigError, match="boolean"):
+        scenario_from_dict(raw)
+    raw = _arm_raw()
+    raw["plant"]["link_lengths"] = [1.0e200, 0.3]  # the default m l^2 / 12 overflows
+    with pytest.raises(ConfigError, match="plant: "):
         scenario_from_dict(raw)
 
 
@@ -405,3 +486,46 @@ def test_load_scenario_parse_error(tmp_path):
 def test_scenario_root_must_be_mapping():
     with pytest.raises(ConfigError, match="mapping"):
         scenario_from_dict(["not", "a", "dict"])
+
+
+# ---------------------------------------------------------------------------
+# one bad key of a shipped config
+
+
+_SHIPPED = {name: yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
+            for name in ("wing", "arm")}
+_DROP = object()
+_SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308]
+_BAD_VALUES = st.one_of(
+    st.just(_DROP), st.none(), st.booleans(), st.text(max_size=8),
+    st.lists(st.one_of(st.integers(-10**6, 10**6), st.floats(-1e6, 1e6)), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(-3, 3), max_size=2),
+    st.integers(-10**6, 10**6), st.sampled_from(_SPECIAL),
+)
+
+
+def _key_paths(section, prefix=()):
+    for key, value in section.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@given(config=st.sampled_from(sorted(_SHIPPED)), data=st.data())
+def test_one_bad_key_ends_in_a_config_or_file_error(config, data):
+    # integers stay within 1e6, so that no grid or record the loader sizes
+    # from a count takes more than a few MB
+    raw = copy.deepcopy(_SHIPPED[config])
+    path = data.draw(st.sampled_from(list(_key_paths(raw))))
+    value = data.draw(_BAD_VALUES)
+    section = raw
+    for key in path[:-1]:
+        section = section[key]
+    if value is _DROP:
+        del section[path[-1]]
+    else:
+        section[path[-1]] = value
+    try:
+        scenario_from_dict(raw)
+    except (ConfigError, OSError):
+        pass

@@ -17,10 +17,10 @@ from scipy.linalg import solve_triangular
 
 import ctgp.gp as gp_module
 from ctgp.gp import (CholeskyError, FittedGP, GPError, Hyperparameters, MultiGP,
-                     TrainingSet, fit, gram_matrix, load_hyperparameters,
+                     TrainingSet, fit, load_hyperparameters,
                      log_marginal_likelihood, optimize_hyperparameters,
                      save_hyperparameters)
-from oracles import kernel_eval
+from oracles import gram_matrix, kernel_eval
 
 
 # Random-instance distribution used by the oracle checks.  sigma_n^2 is kept
@@ -635,6 +635,14 @@ def test_training_set_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1.0,2.0\n")
     with pytest.raises(ValueError):
+        TrainingSet.load_csv(path)
+
+
+def test_training_set_csv_refuses_columns_out_of_order(tmp_path):
+    # counted by prefix, this header would load as input (5, 1) and output 2
+    path = tmp_path / "swapped.csv"
+    path.write_text("y_1,x_1,x_2\n5.0,1.0,2.0\n")
+    with pytest.raises(ValueError, match=r"swapped\.csv: header must be"):
         TrainingSet.load_csv(path)
 
 

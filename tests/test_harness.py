@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import yaml
 
+from ctgp import __version__
 from ctgp.cli import main
 from ctgp.config import ConfigError, load_scenario, scenario_from_dict
 from ctgp.control import PDController
@@ -24,6 +25,8 @@ from ctgp.harness import (load_gp, manifest_lines, read_result_csv,
                           run_check, run_evaluate, run_learning_curve,
                           run_simulate, run_train, trajectory_rmse)
 from ctgp.training import generate_closed_loop, generate_open_loop
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _wing_raw() -> dict:
@@ -270,7 +273,7 @@ def test_trajectory_rmse_constant_error(tmp_path):
     e = np.full(11, 0.1)
     e[:3] = 7.0  # transient, excluded by t_skip
     path = _write_trajectory(tmp_path / "tr.csv", t, [e], "ct")
-    label, n, rmse = trajectory_rmse(path, t_skip=0.3)
+    label, n, rmse = trajectory_rmse(path, read_result_csv(path), t_skip=0.3)
     assert label == "ct" and n == 1
     assert rmse[0] == 0.1
 
@@ -279,7 +282,7 @@ def test_trajectory_rmse_needs_error_columns(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,q_1\n0.0,0.0\n")
     with pytest.raises(ConfigError, match="not a trajectory file"):
-        trajectory_rmse(path, 0.0)
+        trajectory_rmse(path, read_result_csv(path), 0.0)
 
 
 def test_evaluate_tabulates_in_input_order(tmp_path):
@@ -320,6 +323,38 @@ def test_evaluate_rejects_mismatched_grids(tmp_path):
 def test_evaluate_rejects_empty_input():
     with pytest.raises(ConfigError, match="at least one"):
         run_evaluate([], 0.0, None)
+
+
+def test_evaluate_reads_each_trajectory_once(tmp_path, monkeypatch):
+    t = np.arange(6) * 0.1
+    paths = [_write_trajectory(tmp_path / f"{k}.csv", t,
+                               [np.full(6, 0.1 * (k + 1)), np.linspace(0.0, 1.0, 6)],
+                               f"c{k}") for k in range(3)]
+    reads = []
+
+    def counted(path, read=read_result_csv):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr("ctgp.harness.read_result_csv", counted)
+    report = tmp_path / "rmse.csv"
+    run_evaluate(paths, 0.2, report)
+    assert reads == paths
+    assert report.read_text() == (
+        f"# manifest: t_skip=0.2 version={__version__}\n"
+        "controller,rmse_1,rmse_2\n"
+        "c0,0.1,0.7348469228349535\n"
+        "c1,0.2,0.7348469228349535\n"
+        "c2,0.30000000000000004,0.7348469228349535\n")
+
+
+def test_cli_evaluate_names_the_line_of_a_cell_that_is_not_a_number(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("# manifest: controller=ct\nt,e_1\n0.0,0.1\n0.1,abc\n")
+    assert main(["evaluate", str(path), "--out", str(tmp_path / "rmse.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path}, line 4: ")
+    assert "'abc'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +520,27 @@ def test_cli_bad_aero_table_exits_1_with_a_message(tmp_path, table):
     assert proc.returncode == 1
     assert "aero_table" in proc.stderr or str(tmp_path) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("config,path,value,named", [
+    ("wing", ("plant",), None, "plant"),
+    ("wing", ("estimate",), 3, "estimate"),
+    ("arm", ("training",), "x", "training"),
+    ("arm", ("plant", "masses"), [1.0], "plant.masses"),
+    ("arm", ("training", "sample_period"), 1.0e+308, "training"),
+    ("wing", ("check", "probe_count"), 0, "check.probe_count"),
+])
+def test_cli_check_reports_a_bad_value_in_one_line(tmp_path, capsys, config, path,
+                                                   value, named):
+    raw = yaml.safe_load((CONFIGS / f"{config}.yaml").read_text())
+    section = raw
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    assert main(["check", "--config", _write_cfg(tmp_path, raw)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {named}")
+    assert err.count("\n") == 1
 
 
 def test_cli_check_exit_codes(tmp_path):

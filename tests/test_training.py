@@ -59,6 +59,9 @@ def test_closed_loop_plan_validation():
         ClosedLoopPlan(sample_period=0.03, sample_count=351, duration=1.0)
     with pytest.raises(ValueError):
         ClosedLoopPlan(sample_count=0)
+    # sample_period / dt overflows to inf, which round() cannot take
+    with pytest.raises(ValueError, match="integer multiple"):
+        ClosedLoopPlan(sample_period=1e308, dt=1e-3)
     # exact fit is allowed
     ClosedLoopPlan(sample_period=0.03, sample_count=10, duration=0.3)
 
