@@ -431,6 +431,15 @@ class TwoLinkArm(ManipulatorModel):
 
     n = 2
 
+    def __post_init__(self):
+        try:
+            terms = self._inertia_terms()
+        except OverflowError:  # a float ** past the float range raises
+            terms = (math.inf,)
+        if not all(math.isfinite(t) for t in terms):
+            raise ValueError("the link lengths, masses, center-of-mass offsets and "
+                             "inertias give a mass matrix that is not finite")
+
     def _inertia_terms(self) -> tuple[float, float, float]:
         """(a, b, d) with H = [[a + 2 b cos q2, d + b cos q2], [d + b cos q2, d]]."""
         a = self.m1 * self.lc1**2 + self.i1 + self.i2 + self.m2 * (

@@ -54,6 +54,11 @@ class OpenLoopPlan:
     @classmethod
     def grid(cls, torque_range, torque_count, position_range, position_count,
              **kwargs) -> "OpenLoopPlan":
+        # np.linspace would overflow, with a warning, on a range this wide
+        for name, (low, high) in (("torque_range", torque_range),
+                                  ("position_range", position_range)):
+            if not math.isfinite(high - low):
+                raise ValueError(f"{name} [{low}, {high}] is wider than the float range")
         return cls(
             torques=np.linspace(torque_range[0], torque_range[1], torque_count),
             positions=np.linspace(position_range[0], position_range[1], position_count),

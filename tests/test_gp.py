@@ -559,6 +559,8 @@ def test_search_shares_distances_and_takes_gradients_only_at_accepted_points(
     monkeypatch.setattr(gp_module, "_lml_value", record_value)
     monkeypatch.setattr(gp_module, "_lml_gradient", record_gradient)
     monkeypatch.setattr(gp_module, "_gradient_ascent", record_ascent)
+    # the counts are made in this process, so every restart must run here
+    monkeypatch.setattr(gp_module, "search_processes", lambda restarts: 1)
     optimize_hyperparameters(train, hypers[0], budget=15, restarts=3)
     assert len(dist_calls) == 1
     assert len(histories) == 3 and len(full_calls) == 3

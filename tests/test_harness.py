@@ -529,6 +529,7 @@ def test_cli_bad_aero_table_exits_1_with_a_message(tmp_path, table):
     ("arm", ("plant", "masses"), [1.0], "plant.masses"),
     ("arm", ("training", "sample_period"), 1.0e+308, "training"),
     ("wing", ("check", "probe_count"), 0, "check.probe_count"),
+    ("arm", ("plant", "link_lengths"), [1.0e+200, 0.3], "plant"),
 ])
 def test_cli_check_reports_a_bad_value_in_one_line(tmp_path, capsys, config, path,
                                                    value, named):
@@ -541,6 +542,22 @@ def test_cli_check_reports_a_bad_value_in_one_line(tmp_path, capsys, config, pat
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {named}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["torque_range", "position_range"])
+def test_cli_check_refuses_a_range_wider_than_the_float_range_in_one_line(tmp_path, key):
+    # a child process, so that numpy's warnings reach stderr as they would
+    raw = yaml.safe_load((CONFIGS / "wing.yaml").read_text())
+    raw["training"][key] = [-1.0e+308, 1.0e+308]
+    cfg = _write_cfg(tmp_path, raw)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ctgp.cli", "check", "--config", cfg],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"configuration error: training: {key}")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_cli_check_exit_codes(tmp_path):
