@@ -17,6 +17,7 @@ from .dynamics import DynamicsError
 from .gp import GPError
 from .harness import (run_check, run_evaluate, run_learning_curve,
                       run_simulate, run_train)
+from .parallel import WorkerError
 from .sim import DivergenceError
 
 EXIT_OK = 0
@@ -133,7 +134,7 @@ def main(argv=None) -> int:
     except DivergenceError as err:
         print(f"divergence: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (GPError, DynamicsError, np.linalg.LinAlgError) as err:
+    except (GPError, WorkerError, DynamicsError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as err:

@@ -19,18 +19,15 @@ forms the trace terms of tr((alpha alpha' - K^-1) dK/dtheta) / 2.  The search
 computes the distances once per call, evaluates each start in full, evaluates
 line-search trials by value only and takes the gradient only at the steps it
 accepts.  Its restarts are independent: when the host has a core to spare per
-BLAS thread group (search_processes), forked workers run some of them, and
-the outcomes are merged in restart order, so every result keeps its bits.
+BLAS thread group (`parallel.process_count`), forked workers run some of
+them, and the outcomes are merged in restart order, so every result keeps
+its bits.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
 import re
-import signal
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +35,7 @@ from scipy.linalg import cho_solve
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrf, dpotri, dtrtri
 
+from . import parallel
 from .csvio import read_table, write_lines, write_table
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -58,6 +56,9 @@ class CholeskyError(GPError):
         )
         self.output_index = output_index
         self.pivot = pivot
+
+    def __reduce__(self):
+        return CholeskyError, (self.output_index, self.pivot)
 
 
 @dataclass(frozen=True)
@@ -553,116 +554,16 @@ def _gradient_ascent(
     return theta, value, history
 
 
-def search_processes(restarts: int) -> int:
-    """How many processes a search of `restarts` restarts runs in.
-
-    min(restarts, usable cores // BLAS threads per process), and 1 while
-    another Python thread runs, since a forked child holds only the calling
-    thread.  Usable cores are the process's CPU affinity.  The BLAS thread
-    count is read as OpenBLAS reads it: OPENBLAS_NUM_THREADS, then
-    OMP_NUM_THREADS, each as C's atoi, a value below 1 counting as unset;
-    unset, BLAS takes every core, and the search stays in one process.
-    """
-    if restarts < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
-        return 1
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        match = re.match(r"\s*[+-]?\d+", os.environ.get(var, ""))
-        blas = int(match.group()) if match else 0
-        if blas > 0:
-            if hasattr(os, "sched_getaffinity"):
-                cores = len(os.sched_getaffinity(0))
-            else:
-                cores = os.cpu_count() or 1
-            return max(1, min(restarts, cores // blas))
-    return 1
-
-
-def _run_restarts(train: TrainingSet, d2: np.ndarray, output_index: int,
-                  starts: list[np.ndarray], budget: int,
-                  noise_floor: float) -> list[tuple[bool, object, float]]:
-    """Each start's ascent, in order: (True, theta, value), or (False,
-    output_index, pivot) of the CholeskyError that ended it."""
-    outcomes = []
-    for start in starts:
-        try:
-            theta, value, _ = _gradient_ascent(
-                train, d2, output_index, start, budget, noise_floor
-            )
-        except CholeskyError as err:
-            outcomes.append((False, err.output_index, err.pivot))
-        else:
-            outcomes.append((True, theta, value))
-    return outcomes
-
-
-def _fork_worker(job) -> tuple[int, int] | None:
-    """Run job() in a forked child that pickles its result into a pipe.
-
-    Returns (pid, read end of the pipe), or None when no child could be
-    made.  The child leaves through os._exit on every path, so it never
-    returns into the caller's stack or runs its finally blocks; an
-    exception in job() ends it with status 1 and no result.
-    """
-    read_fd, write_fd = os.pipe()
+def _run_restart(train: TrainingSet, d2: np.ndarray, output_index: int,
+                 start: np.ndarray, budget: int,
+                 noise_floor: float) -> tuple[np.ndarray, float] | CholeskyError:
+    """One start's ascent: (theta, value), or the CholeskyError that ended it."""
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(job(), pipe, protocol=pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _in_processes(jobs: list) -> list:
-    """[job() for job in jobs], jobs[1:] each in a forked worker while this
-    process runs jobs[0].
-
-    A job whose worker could not be forked runs here after jobs[0].  A
-    worker that exits without a result raises GPError.  Every worker is
-    reaped before this returns or raises, and killed first when it has
-    not delivered its result.
-    """
-    workers = []
-    try:
-        for job in jobs[1:]:
-            workers.append((job, _fork_worker(job)))
-        results = [jobs[0]()]
-        while workers:
-            job, worker = workers[0]
-            if worker is None:
-                results.append(job())
-                workers.pop(0)
-                continue
-            pid, fd = worker
-            with open(fd, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            workers.pop(0)
-            os.close(fd)
-            if code != 0 or not data:
-                raise GPError(
-                    f"hyperparameter search worker {pid} exited without a result "
-                    f"({f'signal {-code}' if code < 0 else f'exit status {code}'})"
-                )
-            results.append(pickle.loads(data))
-        return results
-    finally:
-        for _, worker in workers:
-            if worker is not None:
-                pid, fd = worker
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                os.close(fd)
+        theta, value, _ = _gradient_ascent(train, d2, output_index, start, budget,
+                                           noise_floor)
+    except CholeskyError as err:
+        return err
+    return theta, value
 
 
 def optimize_hyperparameters(
@@ -684,10 +585,12 @@ def optimize_hyperparameters(
     treated as rejected steps.  Raises CholeskyError, the first in restart
     order, if every restart fails on its first evaluation.
 
-    The restarts are independent.  With P = search_processes(restarts) > 1,
-    restart r runs in process r mod P: this process runs restarts 0, P,
-    2P, ... and P - 1 forked workers the others.  The outcomes are merged
-    in restart order, so the result is the same, bit for bit, at any P.
+    The restarts are independent jobs of `parallel.run_in_order`: with
+    P = parallel.process_count(restarts) > 1, restart r runs in process
+    r mod P, this process running restarts 0, P, 2P, ... and P - 1 forked
+    workers the others.  The outcomes are merged in restart order, so the
+    result, and an exception other than a CholeskyError, is the same, bit
+    for bit, at any P.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -704,23 +607,19 @@ def optimize_hyperparameters(
         start[2] = max(start[2], 0.5 * math.log(noise_floor))
         starts.append(start)
     d2 = _self_sq_dists(train.inputs.T)
-    processes = search_processes(len(starts))
 
-    def share(p):
-        return lambda: _run_restarts(train, d2, output_index, starts[p::processes],
-                                     budget, noise_floor)
+    def restart(start):
+        return lambda: _run_restart(train, d2, output_index, start, budget, noise_floor)
 
-    shares = _in_processes([share(p) for p in range(processes)])
+    outcomes = parallel.run_in_order([restart(s) for s in starts], "hyperparameter search")
     best_theta = None
     best_value = -math.inf
     first_error = None
-    for r in range(len(starts)):
-        ok, a, b = shares[r % processes][r // processes]
-        if not ok:
-            if first_error is None:
-                first_error = CholeskyError(a, b)
-        elif b > best_value:
-            best_theta, best_value = a, b
+    for outcome in outcomes:
+        if isinstance(outcome, CholeskyError):
+            first_error = first_error or outcome
+        elif outcome[1] > best_value:
+            best_theta, best_value = outcome
     if best_theta is None:
         raise first_error if first_error is not None else GPError("no restart succeeded")
     return Hyperparameters.from_log_array(best_theta)

@@ -2,9 +2,9 @@
 seeded stochastic ensembles and a Lyapunov-function trace.
 
 One step loop, `_integrate`, serves three callers over a state with a
-leading batch shape: () for `simulate`, (runs,) for `run_ensemble` and
-(cells,) for the open-loop training grid, which drives it with a
-constant-torque policy and records nothing.  A single run stays unbatched
+leading batch shape: () for `simulate`, (runs,) for a block of
+`run_ensemble` and (cells,) for the open-loop training grid, which drives it
+with a constant-torque policy and records nothing.  A single run stays unbatched
 because the model functions do not give the same bits at every batch shape
 (TwoLinkArm.spring_torque's stretch**3 is a C pow for one state and numpy's
 array power for a batch), and a single run must reproduce its own past
@@ -51,19 +51,29 @@ computing it there.
 A run records (steps + 1) x realizations rows; a SimConfig asking for more
 than MAX_RECORD_ROWS is rejected before anything is allocated.
 
-Ensembles run all realizations in lockstep with one generator per run,
-seeded base_seed + i; a frozen run draws nothing, so results do not depend
-on scheduling and rerunning a single realization reproduces its ensemble
-member.
+Ensembles give each realization its own generator, seeded base_seed + i.
+A run draws its Euler-Maruyama noise REFERENCE_BLOCK steps at a time, which
+is the sequence of one draw per step; a frozen run's unused draws are never
+read.  So results do not depend on scheduling, and rerunning a single
+realization reproduces its ensemble member.  An ensemble of R realizations
+runs as ceil(R / ENSEMBLE_BLOCK) contiguous blocks whose sizes differ by at
+most one (R = 100 gives 50 + 50), each a lockstep batch.  The block layout
+depends on R alone, because column splits of a batched BLAS call move bits:
+the blocks run in forked worker processes when the host has cores to spare
+(`parallel`), every run records into one shared mapping, and the outcomes
+are merged in block order, so every result is the same at any process
+count.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .control import ReferenceSample
 from .csvio import write_table
 from .dynamics import JointState, ManipulatorModel
@@ -134,6 +144,10 @@ class ReferenceTrajectory:
 # Steps of reference samples the loop holds at a time: the samples are taken
 # in blocks, so their memory does not grow with the run.
 REFERENCE_BLOCK = 256
+
+# Most realizations an ensemble integrates as one lockstep batch: larger
+# ensembles are split into equal blocks of at most this many runs.
+ENSEMBLE_BLOCK = 64
 
 # Upper bound on the rows a run records, (steps + 1) x realizations.  Each
 # row holds 7 n-vectors (q, qd, e, ed, tau, gp_mean, gp_std), so at n = 2 the
@@ -257,16 +271,46 @@ class EnsembleStats:
         write_table(path, manifest, cols, np.concatenate(arrays, axis=1))
 
 
+def _records(shape: tuple[int, ...], shared: bool = False) -> dict[str, np.ndarray]:
+    """Zero-filled record arrays of `shape`, one per key of _RECORDED, in one
+    block of memory: with shared=True an anonymous shared mapping, which
+    forked workers write into in place."""
+    full = (len(_RECORDED),) + shape
+    if shared:
+        mapping = mmap.mmap(-1, math.prod(full) * 8)  # MAP_SHARED, zero-filled
+        block = np.frombuffer(mapping, dtype=float).reshape(full)
+    else:
+        block = np.zeros(full)
+    return dict(zip(_RECORDED, block))
+
+
+def _runs(records: dict[str, np.ndarray], end, seeds: list[int],
+          config: SimConfig) -> list[SimResult]:
+    """One SimResult per run of `records` ((*batch, steps + 1, n) arrays),
+    seeds in batch order, each keeping its first end[run] rows."""
+    end = np.asarray(end)
+    t = np.arange(config.steps + 1) * config.dt
+    results = []
+    for seed, idx in zip(seeds, np.ndindex(end.shape)):
+        rows = slice(0, int(end[idx]))
+        run = {key: rec[idx][rows] for key, rec in records.items()}
+        results.append(SimResult(t=t[rows], **run, seed=seed,
+                                 diverged=bool(end[idx] <= config.steps)))
+    return results
+
+
 def _integrate(model: ManipulatorModel, controller, ref: ReferenceTrajectory | None,
                config: SimConfig, q: np.ndarray, qd: np.ndarray,
-               seeds: list[int] | None):
+               seeds: list[int] | None, records: dict[str, np.ndarray] | None = None):
     """The step loop of simulate, run_ensemble and the open-loop grid.
 
     q and qd are (*batch, n) start states, with batch () for one run,
-    (runs,) for an ensemble and (cells,) for the grid; seeds holds one seed
-    per run in batch order.  With seeds=None nothing is recorded and ref may
-    be None (a policy that reads no reference).  Returns the final states,
-    the mask of runs that never diverged and one SimResult per run (None
+    (runs,) for an ensemble block and (cells,) for the grid; seeds holds one
+    seed per run in batch order.  With seeds=None nothing is recorded and
+    ref may be None (a policy that reads no reference).  The runs record
+    into `records` (zero-filled (*batch, steps + 1, n) arrays, one per key
+    of _RECORDED), allocated here when None.  Returns the final states, the
+    mask of runs that never diverged and one SimResult per run (None
     without seeds).
     """
     mode = getattr(controller, "mode", "deterministic")
@@ -279,14 +323,15 @@ def _integrate(model: ManipulatorModel, controller, ref: ReferenceTrajectory | N
     steps, dt, threshold = config.steps, config.dt, config.divergence_threshold
     rk4 = config.integrator == "rk4"
     record = seeds is not None
-    defer_std = record and mode != "stochastic" and hasattr(controller, "posterior_std")
+    noisy = mode == "stochastic"  # a stochastic law reports a diffusion at every step
+    defer_std = record and not noisy and hasattr(controller, "posterior_std")
     rngs = [np.random.default_rng(s) for s in seeds or ()]
 
     t_arr = np.arange(steps + 1) * dt
     active = np.ones(batch, dtype=bool)
     end = np.full(batch, steps + 1)  # rows each run keeps
     if record:
-        rec = {key: np.zeros(batch + (steps + 1, n)) for key in _RECORDED}
+        rec = _records(batch + (steps + 1, n)) if records is None else records
     if defer_std:
         ref_qd = np.empty((steps + 1, n))
         ref_qdd = np.empty((steps + 1, n))
@@ -304,6 +349,12 @@ def _integrate(model: ManipulatorModel, controller, ref: ReferenceTrajectory | N
                 if defer_std:
                     ref_qd[k:k + REFERENCE_BLOCK] = grid.qd
                     ref_qdd[k:k + REFERENCE_BLOCK] = grid.qdd
+            if noisy and j == 0:
+                # each run's draws for the block's steps, from its own
+                # generator: the sequence of one standard_normal(n) per step
+                draws = min(REFERENCE_BLOCK, steps - k)
+                noise = np.stack([rng.standard_normal((draws, n)) for rng in rngs])
+                noise = noise.reshape(batch + (draws, n))
             ref_k = None if ref is None else ReferenceSample(grid.q[j], grid.qd[j], grid.qdd[j])
             out = controller.output(JointState._unchecked(q, qd), ref_k,
                                     include_std=not defer_std)
@@ -332,11 +383,7 @@ def _integrate(model: ManipulatorModel, controller, ref: ReferenceTrajectory | N
                 q_new = q + dt * qd
                 qd_new = qd + dt * model.forward_dynamics(q, qd, out.drift)
                 if out.diffusion is not None:
-                    xi = np.zeros(qd.shape)
-                    for rng, idx in zip(rngs, np.ndindex(batch)):
-                        if active[idx]:  # a frozen run draws nothing
-                            xi[idx] = rng.standard_normal(n)
-                    drive = np.einsum("...ij,...j->...i", out.diffusion, xi)
+                    drive = np.einsum("...ij,...j->...i", out.diffusion, noise[..., j, :])
                     qd_new = qd_new + math.sqrt(dt) * model.solve_mass(q, drive)
                 ok = True
             # a NaN or infinite component fails the comparison too
@@ -353,16 +400,12 @@ def _integrate(model: ManipulatorModel, controller, ref: ReferenceTrajectory | N
 
     if not record:
         return q, qd, active, None
-    results = []
-    for seed, idx in zip(seeds, np.ndindex(batch)):
-        rows = slice(0, int(end[idx]))
-        run = {key: rec[key][idx][rows] for key in _RECORDED}
-        if defer_std:
-            run["gp_std"][...] = controller.posterior_std(run["q"], ref_qd[rows],
-                                                          ref_qdd[rows])
-        results.append(SimResult(t=t_arr[rows], **run, seed=seed,
-                                 diverged=bool(end[idx] <= steps)))
-    return q, qd, active, results
+    if defer_std:
+        for idx in np.ndindex(batch):
+            rows = slice(0, int(end[idx]))
+            rec["gp_std"][idx][rows] = controller.posterior_std(
+                rec["q"][idx][rows], ref_qd[rows], ref_qdd[rows])
+    return q, qd, active, _runs(rec, end, seeds, config)
 
 
 def _within(x: np.ndarray, bound: float):
@@ -433,21 +476,52 @@ def simulate(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
     return result
 
 
+def _blocks(runs: int) -> list[range]:
+    """ceil(runs / ENSEMBLE_BLOCK) contiguous ranges covering range(runs) in
+    order, their sizes differing by at most one (the first ones larger)."""
+    count = -(-runs // ENSEMBLE_BLOCK)
+    size, extra = divmod(runs, count)
+    edges = [b * size + min(b, extra) for b in range(count + 1)]
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def run_ensemble(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
                  config: SimConfig) -> tuple[EnsembleStats, list[SimResult]]:
-    """Integrate `realizations` runs in lockstep from rest, seeds base_seed + i.
+    """Integrate `realizations` runs from rest, seeds base_seed + i.
 
-    Vectorized over runs; each run draws from its own generator in step
-    order, so a run reproduces `simulate` with the same seed to floating
-    round-off (BLAS batching), and divergence freezes a run without
-    disturbing the others' streams.  Divergent runs are returned truncated
-    and excluded from the statistics; if every run diverges a
-    DivergenceError is raised.
+    The runs are split into `_blocks`, fixed by the realization count alone,
+    and each block is one lockstep batch of `_integrate`.  Each run draws
+    from its own generator in step order, so a run reproduces `simulate`
+    with the same seed to floating round-off (BLAS batching), and
+    divergence freezes a run without disturbing the others' streams.
+
+    The blocks are the jobs of `parallel.run_in_order`: block b runs in
+    process b mod P, P = parallel.process_count(blocks).  Every run records
+    into one anonymous shared mapping made before the fork, so a worker
+    writes its rows in place and sends back only each run's row count.  The
+    outcomes, and an exception, are merged in block order, so every result
+    is the same, bit for bit, at any P.
+
+    Divergent runs are returned truncated and excluded from the statistics;
+    if every run diverges a DivergenceError is raised.
     """
     runs, n = config.realizations, model.n
     seeds = [config.base_seed + i for i in range(runs)]
-    *_, results = _integrate(model, controller, ref, config, np.zeros((runs, n)),
-                             np.zeros((runs, n)), seeds)
+    records = _records((runs, config.steps + 1, n), shared=True)
+
+    def block(part: range):
+        runs_b = slice(part.start, part.stop)
+
+        def job():
+            *_, done = _integrate(model, controller, ref, config, np.zeros((len(part), n)),
+                                  np.zeros((len(part), n)), seeds[runs_b],
+                                  {key: rec[runs_b] for key, rec in records.items()})
+            return [res.t.shape[0] for res in done]  # the rows each run kept
+        return job
+
+    kept = parallel.run_in_order([block(part) for part in _blocks(runs)], "ensemble")
+    results = _runs(records, [rows for block_kept in kept for rows in block_kept], seeds,
+                    config)
 
     complete = [i for i, res in enumerate(results) if not res.diverged]
     if not complete:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 import ctgp.gp as gp_module
+from ctgp import parallel
 from ctgp.gp import (CholeskyError, FittedGP, GPError, Hyperparameters, MultiGP,
                      TrainingSet, fit, load_hyperparameters,
                      log_marginal_likelihood, optimize_hyperparameters,
@@ -560,7 +561,7 @@ def test_search_shares_distances_and_takes_gradients_only_at_accepted_points(
     monkeypatch.setattr(gp_module, "_lml_gradient", record_gradient)
     monkeypatch.setattr(gp_module, "_gradient_ascent", record_ascent)
     # the counts are made in this process, so every restart must run here
-    monkeypatch.setattr(gp_module, "search_processes", lambda restarts: 1)
+    monkeypatch.setattr(parallel, "process_count", lambda jobs: 1)
     optimize_hyperparameters(train, hypers[0], budget=15, restarts=3)
     assert len(dist_calls) == 1
     assert len(histories) == 3 and len(full_calls) == 3

@@ -17,9 +17,9 @@ from ctgp.control import (POSTERIOR_STD_CHUNK, ComputedTorqueController,
 from ctgp.dynamics import (JointState, ManipulatorModel, RadialSpring,
                            TwoLinkArm, WingModel)
 from ctgp.gp import FittedGP, Hyperparameters, MultiGP, TrainingSet, fit
-from ctgp.sim import (MAX_RECORD_ROWS, DivergenceError, ReferenceTrajectory,
-                      SimConfig, SimResult, _integrate, lyapunov_trace,
-                      run_ensemble, simulate)
+from ctgp.sim import (MAX_RECORD_ROWS, REFERENCE_BLOCK, DivergenceError,
+                      ReferenceTrajectory, SimConfig, SimResult, _integrate,
+                      lyapunov_trace, run_ensemble, simulate)
 
 
 class _ZeroController:
@@ -267,6 +267,53 @@ def test_em_stochastic_runs_depend_on_seed():
     c = simulate(model, ctl, ref, config, seed=1)
     assert not np.array_equal(a.q, b.q)
     assert np.array_equal(a.q, c.q)
+
+
+def _per_step_em(model, ctl, ref, config, q, seeds):
+    """Euler-Maruyama with one standard_normal(n) draw per step and active
+    run, frozen runs drawing nothing; returns each run's recorded q and qd."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    dt, bound = config.dt, config.divergence_threshold
+    qd = np.zeros_like(q)
+    active = np.ones(len(seeds), dtype=bool)
+    rows = [[] for _ in seeds]
+    for k in range(config.steps + 1):
+        for i in np.flatnonzero(active):
+            rows[i].append((q[i].copy(), qd[i].copy()))
+        if k == config.steps:
+            break
+        out = ctl.output(JointState(q, qd), ref.sample(k * dt))
+        xi = np.zeros(q.shape)
+        for i in np.flatnonzero(active):
+            xi[i] = rngs[i].standard_normal(q.shape[1])
+        q_new = q + dt * qd
+        qd_new = qd + dt * model.forward_dynamics(q, qd, out.drift)
+        drive = np.einsum("...ij,...j->...i", out.diffusion, xi)
+        qd_new = qd_new + math.sqrt(dt) * model.solve_mass(q, drive)
+        active &= (np.all(np.abs(q_new) <= bound, axis=-1)
+                   & np.all(np.abs(qd_new) <= bound, axis=-1))
+        q = np.where(active[:, None], q_new, q)
+        qd = np.where(active[:, None], qd_new, qd)
+    return [tuple(np.array(col) for col in zip(*run)) for run in rows]
+
+
+def test_em_noise_drawn_in_blocks_is_the_per_step_sequence():
+    ctl = CTGPController(_pendulum().estimate(), _tiny_wing_gp(),
+                         Gains.diagonal([5.0], [5.0]), mode="stochastic")
+    # 600 steps: three noise blocks, the last one partial
+    config = SimConfig(dt=1e-3, duration=0.6, integrator="euler-maruyama",
+                       divergence_threshold=10.0)
+    # the anti-spring throws run 1 out of the bound inside the second block
+    q0 = np.array([[0.0], [0.06], [0.0]])
+    seeds = [3, 4, 5]
+    with np.errstate(all="ignore"):
+        _, _, active, results = _integrate(_RunawayModel(), ctl, _still_ref(), config,
+                                           q0, np.zeros((3, 1)), seeds)
+        want = _per_step_em(_RunawayModel(), ctl, _still_ref(), config, q0, seeds)
+    assert active.tolist() == [True, False, True]
+    assert REFERENCE_BLOCK < results[1].t.shape[0] < 2 * REFERENCE_BLOCK
+    for res, (q, qd) in zip(results, want):
+        assert np.array_equal(res.q, q) and np.array_equal(res.qd, qd)
 
 
 # ---------------------------------------------------------------------------
