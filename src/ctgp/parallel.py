@@ -8,7 +8,7 @@ order up to the first that raises.  A worker pickles its results, and the
 exception that stopped it, into a pipe; the outcomes are merged in job
 order, and the first exception in job order is raised.  A job must give the
 same result in any process, as the hyperparameter search's restarts and the
-ensemble's blocks of realizations do: each computes from inputs it inherits
+ensemble's shares of realizations do: each computes from inputs it inherits
 and writes nothing another job reads.
 """
 
@@ -25,28 +25,34 @@ class WorkerError(Exception):
     """A worker process ended without delivering its results."""
 
 
+def blas_threads() -> int | None:
+    """The BLAS threads per process, read as OpenBLAS reads them:
+    OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, each as C's atoi, a value
+    below 1 counting as unset.  None when unset: BLAS then takes every core.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        match = re.match(r"\s*[+-]?\d+", os.environ.get(var, ""))
+        if match and int(match.group()) > 0:
+            return int(match.group())
+    return None
+
+
 def process_count(jobs: int) -> int:
     """How many processes `jobs` independent jobs run in.
 
-    min(jobs, usable cores // BLAS threads per process), and 1 while
-    another Python thread runs, since a forked child holds only the calling
-    thread.  Usable cores are the process's CPU affinity.  The BLAS thread
-    count is read as OpenBLAS reads it: OPENBLAS_NUM_THREADS, then
-    OMP_NUM_THREADS, each as C's atoi, a value below 1 counting as unset;
-    unset, BLAS takes every core, and the jobs stay in one process.
+    min(jobs, usable cores // blas_threads()), and 1 while another Python
+    thread runs, since a forked child holds only the calling thread.  Usable
+    cores are the process's CPU affinity.  With the BLAS thread count unset,
+    BLAS takes every core, and the jobs stay in one process.
     """
-    if jobs < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
+    blas = blas_threads()
+    if jobs < 2 or blas is None or threading.active_count() > 1 or not hasattr(os, "fork"):
         return 1
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        match = re.match(r"\s*[+-]?\d+", os.environ.get(var, ""))
-        blas = int(match.group()) if match else 0
-        if blas > 0:
-            if hasattr(os, "sched_getaffinity"):
-                cores = len(os.sched_getaffinity(0))
-            else:
-                cores = os.cpu_count() or 1
-            return max(1, min(jobs, cores // blas))
-    return 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(1, min(jobs, cores // blas))
 
 
 def _run_share(jobs: list) -> tuple[list, Exception | None]:

@@ -2,7 +2,7 @@
 seeded stochastic ensembles and a Lyapunov-function trace.
 
 One step loop, `_integrate`, serves three callers over a state with a
-leading batch shape: () for `simulate`, (runs,) for a block of
+leading batch shape: () for `simulate`, (runs,) for a share of
 `run_ensemble` and (cells,) for the open-loop training grid, which drives it
 with a constant-torque policy and records nothing.  A single run stays unbatched
 because the model functions do not give the same bits at every batch shape
@@ -55,13 +55,14 @@ Ensembles give each realization its own generator, seeded base_seed + i.
 A run draws its Euler-Maruyama noise REFERENCE_BLOCK steps at a time, which
 is the sequence of one draw per step; a frozen run's unused draws are never
 read.  So results do not depend on scheduling, and rerunning a single
-realization reproduces its ensemble member.  An ensemble of R realizations
-runs as ceil(R / ENSEMBLE_BLOCK) contiguous blocks whose sizes differ by at
-most one (R = 100 gives 50 + 50), each a lockstep batch.  The block layout
-depends on R alone, because column splits of a batched BLAS call move bits:
-the blocks run in forked worker processes when the host has cores to spare
-(`parallel`), every run records into one shared mapping, and the outcomes
-are merged in block order, so every result is the same at any process
+realization reproduces its ensemble member.  In one process an ensemble is
+one lockstep batch.  When BLAS runs one thread per process and the host has
+cores to spare (`parallel`), it is cut into contiguous shares at multiples
+of ENSEMBLE_ALIGN runs, one lockstep batch per process.  A one-thread BLAS
+call computes each run in a tile of columns, and a cut on a tile edge leaves
+every run in a tile of the same width at the same offset, so the shares give
+every run the bits of the whole batch.  Every run records into one shared mapping, and the outcomes
+are merged in share order, so every result is the same at any process
 count.
 """
 
@@ -145,9 +146,12 @@ class ReferenceTrajectory:
 # in blocks, so their memory does not grow with the run.
 REFERENCE_BLOCK = 256
 
-# Most realizations an ensemble integrates as one lockstep batch: larger
-# ensembles are split into equal blocks of at most this many runs.
-ENSEMBLE_BLOCK = 64
+# Ensemble shares are cut at multiples of this many runs.  OpenBLAS 0.3.31's
+# dtrmm, the bulk of a stochastic step, tiles the batch in 12-column panels
+# on an AVX-512 Xeon; a cut off a panel edge moves the bits of the runs
+# beside it, and a cut on one moves none.  48 leaves room for kernels tiled
+# at 16 or 24 columns.
+ENSEMBLE_ALIGN = 48
 
 # Upper bound on the rows a run records, (steps + 1) x realizations.  Each
 # row holds 7 n-vectors (q, qd, e, ed, tau, gp_mean, gp_std), so at n = 2 the
@@ -271,17 +275,12 @@ class EnsembleStats:
         write_table(path, manifest, cols, np.concatenate(arrays, axis=1))
 
 
-def _records(shape: tuple[int, ...], shared: bool = False) -> dict[str, np.ndarray]:
+def _records(shape: tuple[int, ...]) -> dict[str, np.ndarray]:
     """Zero-filled record arrays of `shape`, one per key of _RECORDED, in one
-    block of memory: with shared=True an anonymous shared mapping, which
-    forked workers write into in place."""
+    anonymous shared mapping, which forked workers write into in place."""
     full = (len(_RECORDED),) + shape
-    if shared:
-        mapping = mmap.mmap(-1, math.prod(full) * 8)  # MAP_SHARED, zero-filled
-        block = np.frombuffer(mapping, dtype=float).reshape(full)
-    else:
-        block = np.zeros(full)
-    return dict(zip(_RECORDED, block))
+    mapping = mmap.mmap(-1, math.prod(full) * 8)  # MAP_SHARED, zero-filled
+    return dict(zip(_RECORDED, np.frombuffer(mapping, dtype=float).reshape(full)))
 
 
 def _runs(records: dict[str, np.ndarray], end, seeds: list[int],
@@ -305,7 +304,7 @@ def _integrate(model: ManipulatorModel, controller, ref: ReferenceTrajectory | N
     """The step loop of simulate, run_ensemble and the open-loop grid.
 
     q and qd are (*batch, n) start states, with batch () for one run,
-    (runs,) for an ensemble block and (cells,) for the grid; seeds holds one
+    (runs,) for an ensemble share and (cells,) for the grid; seeds holds one
     seed per run in batch order.  With seeds=None nothing is recorded and
     ref may be None (a policy that reads no reference).  The runs record
     into `records` (zero-filled (*batch, steps + 1, n) arrays, one per key
@@ -476,12 +475,14 @@ def simulate(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
     return result
 
 
-def _blocks(runs: int) -> list[range]:
-    """ceil(runs / ENSEMBLE_BLOCK) contiguous ranges covering range(runs) in
-    order, their sizes differing by at most one (the first ones larger)."""
-    count = -(-runs // ENSEMBLE_BLOCK)
-    size, extra = divmod(runs, count)
-    edges = [b * size + min(b, extra) for b in range(count + 1)]
+def _shares(runs: int, processes: int) -> list[range]:
+    """min(processes, ceil(runs / ENSEMBLE_ALIGN)) contiguous ranges covering
+    range(runs) in order, cut at multiples of ENSEMBLE_ALIGN, each holding
+    the floor or the ceiling of an even split of the ENSEMBLE_ALIGN-run
+    pieces (the last piece may be partial)."""
+    pieces = -(-runs // ENSEMBLE_ALIGN)
+    count = min(processes, pieces)
+    edges = [ENSEMBLE_ALIGN * (pieces * p // count) for p in range(count)] + [runs]
     return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
@@ -489,38 +490,48 @@ def run_ensemble(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
                  config: SimConfig) -> tuple[EnsembleStats, list[SimResult]]:
     """Integrate `realizations` runs from rest, seeds base_seed + i.
 
-    The runs are split into `_blocks`, fixed by the realization count alone,
-    and each block is one lockstep batch of `_integrate`.  Each run draws
-    from its own generator in step order, so a run reproduces `simulate`
-    with the same seed to floating round-off (BLAS batching), and
-    divergence freezes a run without disturbing the others' streams.
+    Each run draws from its own generator in step order, so a run
+    reproduces `simulate` with the same seed to floating round-off (BLAS
+    batching), and divergence freezes a run without disturbing the others'
+    streams.
 
-    The blocks are the jobs of `parallel.run_in_order`: block b runs in
-    process b mod P, P = parallel.process_count(blocks).  Every run records
-    into one anonymous shared mapping made before the fork, so a worker
-    writes its rows in place and sends back only each run's row count.  The
-    outcomes, and an exception, are merged in block order, so every result
-    is the same, bit for bit, at any P.
+    The runs are cut into `_shares`, one per process,
+    P = parallel.process_count(ceil(realizations / ENSEMBLE_ALIGN)) with one
+    BLAS thread per process and P = 1 otherwise, and each share is one
+    lockstep batch of `_integrate`, run by `parallel.run_in_order`: at
+    P = 1 the whole ensemble is one batch in this process.  The cuts lie on
+    BLAS tile edges, so with one BLAS thread a share gives each of its runs
+    the bits of the whole batch.  Every run records into one
+    anonymous shared mapping made before the fork, so a worker writes its
+    rows in place and sends back only each run's row count.  The outcomes
+    are merged in share order, so every result is the same, bit for bit, at
+    any P.  An exception is the first in share order; only two shares that
+    fail in different ways could make it differ from the one-batch run's.
 
     Divergent runs are returned truncated and excluded from the statistics;
     if every run diverges a DivergenceError is raised.
     """
     runs, n = config.realizations, model.n
     seeds = [config.base_seed + i for i in range(runs)]
-    records = _records((runs, config.steps + 1, n), shared=True)
+    records = _records((runs, config.steps + 1, n))
+    # a threaded BLAS call splits its columns by the call's width, so shares
+    # keep the bits of one batch only with one BLAS thread per process
+    processes = (parallel.process_count(-(-runs // ENSEMBLE_ALIGN))
+                 if parallel.blas_threads() == 1 else 1)
 
-    def block(part: range):
-        runs_b = slice(part.start, part.stop)
+    def share(part: range):
+        runs_p = slice(part.start, part.stop)
 
         def job():
             *_, done = _integrate(model, controller, ref, config, np.zeros((len(part), n)),
-                                  np.zeros((len(part), n)), seeds[runs_b],
-                                  {key: rec[runs_b] for key, rec in records.items()})
+                                  np.zeros((len(part), n)), seeds[runs_p],
+                                  {key: rec[runs_p] for key, rec in records.items()})
             return [res.t.shape[0] for res in done]  # the rows each run kept
         return job
 
-    kept = parallel.run_in_order([block(part) for part in _blocks(runs)], "ensemble")
-    results = _runs(records, [rows for block_kept in kept for rows in block_kept], seeds,
+    kept = parallel.run_in_order([share(part) for part in _shares(runs, processes)],
+                                 "ensemble")
+    results = _runs(records, [rows for share_kept in kept for rows in share_kept], seeds,
                     config)
 
     complete = [i for i, res in enumerate(results) if not res.diverged]

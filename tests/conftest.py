@@ -4,12 +4,21 @@ Property tests draw their examples from a fixed derandomized sequence and
 have no per-example deadline, so the suite gives the same result on every
 run and on a slow or loaded host.
 
+The suite runs BLAS with one thread per process, as CI and the benchmark
+do, whatever the caller's environment: results differ in their last digits
+between BLAS thread counts, and a forked ensemble keeps the bits of one
+batch only with one thread (`sim.run_ensemble`).  The variables are set here
+because OpenBLAS reads them once, when numpy and scipy load it.
+
 The process count of forked jobs follows the host
 (`parallel.process_count`); `pin_processes` pins it by replacing that
 function, so the tests of forked jobs fork on any host, and `forks` records
 the workers they fork.
 """
 import os
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
 
 import pytest
 from hypothesis import settings

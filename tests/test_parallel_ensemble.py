@@ -1,9 +1,10 @@
-"""The ensemble's blocks of realizations in forked workers.
+"""The ensemble's shares of realizations in forked workers.
 
-An ensemble of R runs is split into ceil(R / 64) blocks fixed by R alone.
-The tests pin the process count (conftest.py), so they fork on any host.
-Every artifact, divergent run and failure must be the same at one and at
-several processes, and no worker may outlive the call that made it.
+In one process an ensemble is one lockstep batch; at P processes it is cut
+into P shares at multiples of ENSEMBLE_ALIGN runs.  The tests pin the
+process count (conftest.py), so they fork on any host.  Every artifact,
+divergent run and failure must be the same at one and at several processes,
+and no worker may outlive the call that made it.
 """
 from __future__ import annotations
 
@@ -21,12 +22,12 @@ from ctgp.cli import main
 from ctgp.control import CTGPController, Gains
 from ctgp.dynamics import WingModel
 from ctgp.gp import Hyperparameters, TrainingSet, fit
-from ctgp.sim import (ENSEMBLE_BLOCK, ReferenceTrajectory, SimConfig, _blocks,
+from ctgp.sim import (ENSEMBLE_ALIGN, ReferenceTrajectory, SimConfig, _shares,
                       run_ensemble)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-REALIZATIONS = 130  # three blocks: runs 0-43, 44-86 and 87-129
-BLOCK_1 = _blocks(REALIZATIONS)[1]  # a worker's block at 2 or 3 processes
+REALIZATIONS = 130  # three shares at 3 processes: runs 0-47, 48-95 and 96-129
+SHARE_1 = _shares(REALIZATIONS, 2)[1]  # runs 48-129, in workers at 2 or 3 processes
 
 
 def _scenario(**sim) -> dict:
@@ -65,12 +66,15 @@ def _simulate(model_dir, out, raw, capsys) -> tuple[int, str, str, dict]:
     return code, captured.out.replace(str(out), "OUT"), captured.err, files
 
 
-def _wing_ensemble(mode: str):
+FOUR_POINTS = (np.array([[0.0, 0.5, -0.5, 0.2], [0.0, 0.1, -0.1, 0.3],
+                         [0.0, 0.4, -0.4, 0.1]]),
+               np.array([[0.0], [0.3], [-0.3], [0.1]]))
+
+
+def _wing_ensemble(mode: str, train=FOUR_POINTS):
+    """A wing ct-gp ensemble whose GP fits `train`, (inputs (3, m), outputs (m, 1))."""
     model = WingModel(airspeed=0.0)
-    x = np.array([[0.0, 0.5, -0.5, 0.2], [0.0, 0.1, -0.1, 0.3],
-                  [0.0, 0.4, -0.4, 0.1]])
-    gp = fit(TrainingSet(x, np.array([[0.0], [0.3], [-0.3], [0.1]])),
-             [Hyperparameters(1.0, 1.0, 1e-4)])
+    gp = fit(TrainingSet(*train), [Hyperparameters(1.0, 1.0, 1e-4)])
     ctl = CTGPController(model.estimate(), gp, Gains.diagonal([5.0], [5.0]), mode=mode)
     ref = ReferenceTrajectory(np.array([0.3]), np.array([1.0]), np.zeros(1),
                               frequency_unit="rad_per_s")
@@ -78,18 +82,65 @@ def _wing_ensemble(mode: str):
 
 
 # ---------------------------------------------------------------------------
-# the block layout
+# the share layout
 
 
-def test_blocks_are_contiguous_bounded_and_even():
+def test_shares_are_contiguous_aligned_and_even():
     for runs in range(1, 301):
-        blocks = _blocks(runs)
-        assert len(blocks) == -(-runs // ENSEMBLE_BLOCK)
-        assert [i for block in blocks for i in block] == list(range(runs))
-        sizes = [len(block) for block in blocks]
-        assert max(sizes) <= ENSEMBLE_BLOCK and max(sizes) - min(sizes) <= 1
-    assert [len(block) for block in _blocks(100)] == [50, 50]
-    assert [len(block) for block in _blocks(REALIZATIONS)] == [44, 43, 43]
+        pieces = -(-runs // ENSEMBLE_ALIGN)
+        for processes in range(1, 5):
+            shares = _shares(runs, processes)
+            count = min(processes, pieces)
+            assert len(shares) == count
+            assert [i for share in shares for i in share] == list(range(runs))
+            assert all(share.start % ENSEMBLE_ALIGN == 0 for share in shares)
+            assert max(len(share) for share in shares) <= ENSEMBLE_ALIGN * -(-pieces // count)
+    assert _shares(100, 1) == [range(100)]
+    assert _shares(100, 2) == [range(48), range(48, 100)]
+    assert _shares(REALIZATIONS, 3) == [range(48), range(48, 96), range(96, 130)]
+
+
+@pytest.mark.parametrize("processes,blas", [(1, "1"), (2, "2")])
+def test_one_process_or_threaded_blas_runs_the_ensemble_as_one_batch(
+        monkeypatch, pin_processes, forks, processes, blas):
+    # one batch reads L^-1 once per step for every run; shares in one
+    # process would read it once per share, and a narrower dtrmm costs more
+    # per column.  A threaded BLAS call splits its columns by the call's
+    # width, so shares would not keep one batch's bits.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+    batches = []
+    integrate = sim_module._integrate
+
+    def recording(model, controller, ref, config, q, qd, seeds, records=None):
+        batches.append(list(seeds))
+        return integrate(model, controller, ref, config, q, qd, seeds, records)
+
+    monkeypatch.setattr(sim_module, "_integrate", recording)
+    model, ctl, ref = _wing_ensemble("stochastic")
+    pin_processes(processes)
+    run_ensemble(model, ctl, ref, SimConfig(dt=1e-3, duration=0.01,
+                                            integrator="euler-maruyama",
+                                            realizations=REALIZATIONS, base_seed=4))
+    assert batches == [list(range(4, 4 + REALIZATIONS))]
+    assert len(forks) == 0
+
+
+def test_shares_keep_the_bits_of_one_batch_at_a_tiled_size(pin_processes, forks):
+    # 300 training points: L^-1 spans many BLAS tiles, as in the shipped configs
+    x = np.random.default_rng(11).uniform(-1.0, 1.0, (3, 300))
+    model, ctl, ref = _wing_ensemble("stochastic", (x, 0.3 * np.sin(x[:1].T)))
+    config = SimConfig(dt=1e-3, duration=0.05, integrator="euler-maruyama",
+                       realizations=100)
+    runs = []
+    for processes in (1, 2):
+        pin_processes(processes)
+        runs.append(run_ensemble(model, ctl, ref, config)[1])
+    for batch, shared in zip(*runs):
+        assert np.all(batch.gp_std > 0.0)
+        for key in ("q", "qd", "tau", "gp_mean", "gp_std"):
+            assert np.array_equal(getattr(shared, key), getattr(batch, key)), key
+    assert len(forks) == 1
+    forks.assert_reaped()
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +162,7 @@ def test_ensemble_artifacts_are_byte_identical_at_any_process_count(
     forks.assert_reaped()
 
 
-def test_a_run_diverging_in_a_worker_block_is_reported_as_in_one_process(
+def test_a_run_diverging_in_a_worker_share_is_reported_as_in_one_process(
         tmp_path, model_dir, pin_processes, capsys, forks):
     # a bound that a few of the runs' excursions cross
     raw = _scenario(divergence_threshold=0.75)
@@ -123,7 +174,7 @@ def test_a_run_diverging_in_a_worker_block_is_reported_as_in_one_process(
     divergent = yaml.safe_load(files["manifest.txt"])["divergent_runs"]
     assert code == 0 and f"divergent runs: {divergent}" in out
     assert 0 < len(divergent) < REALIZATIONS
-    assert any(run in BLOCK_1 for run in divergent)
+    assert any(run in SHARE_1 for run in divergent)
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
     forks.assert_reaped()
 
@@ -162,22 +213,22 @@ def test_a_deterministic_ensemble_records_the_workers_deferred_std(pin_processes
 # failure and cleanup
 
 
-def test_an_error_in_block_1_fails_the_same_way_at_any_process_count(
+def test_an_error_in_share_1_fails_the_same_way_at_any_process_count(
         tmp_path, model_dir, monkeypatch, pin_processes, capsys, forks):
     integrate = sim_module._integrate
 
-    def failing_block_1(model, controller, ref, config, q, qd, seeds, records=None):
-        if seeds[0] == config.base_seed + BLOCK_1.start:
-            raise ValueError("block 1 failed")
+    def failing_share_1(model, controller, ref, config, q, qd, seeds, records=None):
+        if config.base_seed + SHARE_1.start in seeds:
+            raise ValueError("share 1 failed")
         return integrate(model, controller, ref, config, q, qd, seeds, records)
 
-    monkeypatch.setattr(sim_module, "_integrate", failing_block_1)
+    monkeypatch.setattr(sim_module, "_integrate", failing_share_1)
     outcomes = []
     for processes in (1, 2):
         pin_processes(processes)
         outcomes.append(_simulate(model_dir, tmp_path / f"p{processes}", _scenario(),
                                   capsys))
-    assert outcomes[0][:3] == (1, "", "invalid input: block 1 failed\n")
+    assert outcomes[0][:3] == (1, "", "invalid input: share 1 failed\n")
     assert outcomes[1] == outcomes[0]
     assert len(forks) == 1
     forks.assert_reaped()
