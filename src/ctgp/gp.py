@@ -26,17 +26,44 @@ its bits.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dpotrf, dpotri, dtrtri
+import scipy
 
 from . import parallel
 from .csvio import read_table, write_lines, write_table
+
+
+def _scipy_linalg_wrapper(name: str):
+    """scipy.linalg's compiled module `name` (_flapack or _fblas), loaded
+    without running the scipy.linalg package, whose imports cost more than
+    the rest of start-up.  The module is registered under its real name, so
+    a later `import scipy.linalg` reuses it, and an entry already in
+    sys.modules is reused here."""
+    full_name = f"scipy.linalg.{name}"
+    if full_name in sys.modules:
+        return sys.modules[full_name]
+    spec = importlib.machinery.PathFinder.find_spec(
+        full_name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+    if spec is None:
+        raise ImportError(f"cannot find {full_name}", name=full_name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full_name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _scipy_linalg_wrapper("_flapack")
+dpotrf, dpotrs, dpotri, dtrtri = (_flapack.dpotrf, _flapack.dpotrs,
+                                  _flapack.dpotri, _flapack.dtrtri)
+dtrmm = _scipy_linalg_wrapper("_fblas").dtrmm
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -241,8 +268,9 @@ def _factor(k: np.ndarray, y: np.ndarray, hp: Hyperparameters,
     """(L, alpha) for the symmetric C-ordered noise-free kernel k.
 
     L is the lower Cholesky factor of k + sigma_n^2 I, computed in k's own
-    storage (k is destroyed), and alpha solves (k + sigma_n^2 I) alpha = y.
-    Raises CholeskyError with the failing pivot.
+    storage (k is destroyed), and alpha solves (k + sigma_n^2 I) alpha = y
+    (LAPACK potrs, as scipy's cho_solve calls it).  Raises CholeskyError with
+    the failing pivot.
     """
     k[np.diag_indices_from(k)] += hp.noise_variance
     diag = k.diagonal().copy()
@@ -254,7 +282,10 @@ def _factor(k: np.ndarray, y: np.ndarray, hp: Hyperparameters,
         raise CholeskyError(output_index, pivot)
     if info < 0:
         raise GPError(f"illegal value in Cholesky argument {-info}")
-    return low, cho_solve((low, True), y)
+    alpha, info = dpotrs(low, y, lower=1)
+    if info != 0:
+        raise GPError(f"illegal value in Cholesky solve argument {-info}")
+    return low, alpha
 
 
 def _invert_factor(low: np.ndarray, output_index: int) -> np.ndarray:

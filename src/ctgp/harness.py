@@ -183,12 +183,18 @@ def run_simulate(scenario: Scenario, out_dir, seed_override: int | None = None,
     ensemble_csv = None
     divergent: list[int] = []
     if sim_cfg.realizations > 1:
-        stats, results = run_ensemble(scenario.plant, controller,
-                                      scenario.reference, sim_cfg)
-        divergent = stats.divergent_runs
+        try:
+            stats, results = run_ensemble(scenario.plant, controller,
+                                          scenario.reference, sim_cfg)
+        except DivergenceError as err:
+            # no statistics, but run 0's partial trace and the manifest
+            # are written before the divergence is reported
+            stats, results = None, err.results
+        divergent = [i for i, res in enumerate(results) if res.diverged]
         results[0].to_csv(trajectory_csv, manifest)
-        ensemble_csv = os.path.join(out_dir, ENSEMBLE_CSV)
-        stats.to_csv(ensemble_csv, manifest)
+        if stats is not None:
+            ensemble_csv = os.path.join(out_dir, ENSEMBLE_CSV)
+            stats.to_csv(ensemble_csv, manifest)
     else:
         result = simulate(scenario.plant, controller, scenario.reference, sim_cfg)
         result.to_csv(trajectory_csv, manifest)

@@ -81,7 +81,14 @@ from .dynamics import JointState, ManipulatorModel
 
 
 class DivergenceError(Exception):
-    """Raised when every requested realization diverged."""
+    """Raised when every requested realization diverged.
+
+    `results` holds the runs' partial traces when the raiser has them.
+    """
+
+    def __init__(self, message: str, results: list | None = None):
+        super().__init__(message)
+        self.results = results
 
 
 @dataclass(frozen=True)
@@ -146,11 +153,12 @@ class ReferenceTrajectory:
 # in blocks, so their memory does not grow with the run.
 REFERENCE_BLOCK = 256
 
-# Ensemble shares are cut at multiples of this many runs.  OpenBLAS 0.3.31's
-# dtrmm, the bulk of a stochastic step, tiles the batch in 12-column panels
-# on an AVX-512 Xeon; a cut off a panel edge moves the bits of the runs
-# beside it, and a cut on one moves none.  48 leaves room for kernels tiled
-# at 16 or 24 columns.
+# Ensemble shares are cut at multiples of this many runs.  The GP's dtrmm,
+# the bulk of a stochastic step, runs in scipy's OpenBLAS (0.3.30 in the
+# scipy 1.17.1 wheel, not numpy's 0.3.31) and tiles the batch in 12-column
+# panels on an AVX-512 Xeon; a cut off a panel edge moves the bits of the
+# runs beside it, and a cut on one moves none.  48 leaves room for kernels
+# tiled at 16 or 24 columns.
 ENSEMBLE_ALIGN = 48
 
 # Upper bound on the rows a run records, (steps + 1) x realizations.  Each
@@ -509,7 +517,8 @@ def run_ensemble(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
     fail in different ways could make it differ from the one-batch run's.
 
     Divergent runs are returned truncated and excluded from the statistics;
-    if every run diverges a DivergenceError is raised.
+    if every run diverges a DivergenceError carrying the truncated runs is
+    raised.
     """
     runs, n = config.realizations, model.n
     seeds = [config.base_seed + i for i in range(runs)]
@@ -536,7 +545,7 @@ def run_ensemble(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
 
     complete = [i for i, res in enumerate(results) if not res.diverged]
     if not complete:
-        raise DivergenceError(f"all {runs} realizations diverged")
+        raise DivergenceError(f"all {runs} realizations diverged", results)
     rmse = np.full((runs, n), np.nan)
     for i in complete:
         rmse[i] = results[i].rmse(0.0)

@@ -8,12 +8,16 @@ were computed before the implementation existed.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 import ctgp.gp as gp_module
 from ctgp import parallel
@@ -172,6 +176,58 @@ def test_fit_rejects_a_bad_inverse_factor(monkeypatch, broken):
     monkeypatch.setattr(gp_module, "dtrtri", break_second_output)
     with pytest.raises(GPError, match="output 1"):
         fit(train, hypers)
+
+
+# ---------------------------------------------------------------------------
+# scipy's LAPACK and BLAS wrappers, loaded without the scipy.linalg package
+
+_ROUTINES = ("lapack.dpotrf", "lapack.dpotrs", "lapack.dpotri", "lapack.dtrtri",
+             "blas.dtrmm")
+
+
+def _run_child(code: str) -> str:
+    """stdout of `python -c code` with the package's source on the path.
+
+    A child, because this module imports scipy.linalg into the test process.
+    """
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_the_cli_loads_no_scipy_linalg_package():
+    out = _run_child("import sys, ctgp.cli, ctgp.harness\n"
+                     "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+    assert out == "['scipy.linalg._fblas', 'scipy.linalg._flapack']\n"
+
+
+@pytest.mark.parametrize("first", ["scipy.linalg", "ctgp.gp"])
+def test_gp_routines_are_scipy_linalgs_objects(first):
+    second = "ctgp.gp" if first == "scipy.linalg" else "scipy.linalg"
+    # one module object per wrapper, whichever side loaded it first
+    checks = ["scipy.linalg.lapack._flapack is sys.modules['scipy.linalg._flapack']",
+              "scipy.linalg.blas._fblas is sys.modules['scipy.linalg._fblas']",
+              "gp._flapack is scipy.linalg.lapack._flapack"]
+    checks += [f"scipy.linalg.{r} is gp.{r.split('.')[1]}" for r in _ROUTINES]
+    out = _run_child(f"import sys, {first}, {second}\n"
+                     "import scipy.linalg.blas, scipy.linalg.lapack\n"
+                     "import ctgp.gp as gp\n"
+                     f"print({', '.join(checks)})")
+    assert out == " ".join(["True"] * len(checks)) + "\n"
+
+
+def test_factor_weights_are_cho_solves_bits():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(40, 3))
+    y = rng.normal(size=(40, 2))[:, 1]  # a strided column, as fit passes it
+    hp = Hyperparameters(1.3, 2.0, 1e-3)
+    k = gp_module._se_kernel(gp_module._self_sq_dists(x), hp)
+    low, alpha = gp_module._factor(k, y, hp, 0)
+    assert alpha.tobytes() == cho_solve((low, True), y).tobytes()
 
 
 def test_predict_interpolates_training_points():

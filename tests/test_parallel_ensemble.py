@@ -53,8 +53,8 @@ def model_dir(tmp_path_factory) -> Path:
 
 
 def _simulate(model_dir, out, raw, capsys) -> tuple[int, str, str, dict]:
-    """`ctgp simulate` in a copy of the model: exit code, stdout (the output
-    directory's name replaced), stderr and the files it wrote."""
+    """`ctgp simulate` in a copy of the model: exit code, stdout and stderr
+    (the output directory's name replaced in both) and the files it wrote."""
     shutil.copytree(model_dir, out)
     cfg = out / "scenario.yaml"
     cfg.write_text(yaml.safe_dump(raw))
@@ -63,7 +63,8 @@ def _simulate(model_dir, out, raw, capsys) -> tuple[int, str, str, dict]:
     captured = capsys.readouterr()
     files = {name: (out / name).read_bytes()
              for name in sorted(set(os.listdir(out)) - before)}
-    return code, captured.out.replace(str(out), "OUT"), captured.err, files
+    return (code, captured.out.replace(str(out), "OUT"),
+            captured.err.replace(str(out), "OUT"), files)
 
 
 FOUR_POINTS = (np.array([[0.0, 0.5, -0.5, 0.2], [0.0, 0.1, -0.1, 0.3],
@@ -187,7 +188,11 @@ def test_an_ensemble_whose_every_run_diverges_exits_3_at_any_process_count(
         pin_processes(processes)
         outcomes.append(_simulate(model_dir, tmp_path / f"p{processes}", raw, capsys))
     code, out, err, files = outcomes[0]
-    assert code == 3 and err == f"divergence: all {REALIZATIONS} realizations diverged\n"
+    assert code == 3 and err == (f"divergence: all {REALIZATIONS} realization(s) "
+                                 f"diverged; partial trace in OUT/trajectory.csv\n")
+    # run 0's partial trace and the manifest are written before the exit
+    assert set(files) == {"trajectory.csv", "manifest.txt"}
+    assert yaml.safe_load(files["manifest.txt"])["divergent_runs"] == list(range(REALIZATIONS))
     assert outcomes[1] == outcomes[0]
     assert len(forks) == 1
     forks.assert_reaped()
