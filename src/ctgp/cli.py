@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="drop the initial transient before averaging")
 
     curve = sub.add_parser("learning-curve",
-                           help="retrain on nested subsets and report RMSE per size")
+                           help="retrain on an independent stratified subset per "
+                                "size and report RMSE per size")
     curve.add_argument("--config", required=True)
     curve.add_argument("--out", required=True)
     curve.add_argument("--sizes", required=True,

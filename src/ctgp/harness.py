@@ -303,23 +303,15 @@ def _probe_inputs(scenario: Scenario, count: int = 500):
     return probe.inputs.T.copy(), probe.outputs.copy()
 
 
-def prediction_error_median(gp: MultiGP, scenario: Scenario, count: int = 500) -> float:
-    """Median over the probe grid of ||gp_mean - true residual||."""
-    queries, true_resid = _probe_inputs(scenario, count)
-    if gp is None or gp.size == 0:
-        err = np.linalg.norm(true_resid, axis=1)
-    else:
-        err = np.linalg.norm(gp.predict_mean(queries) - true_resid, axis=1)
-    return float(np.median(err))
-
-
 def run_learning_curve(scenario: Scenario, sizes, out_dir,
                        seed_override: int | None = None) -> str:
-    """Retrain on nested subsets and simulate the GP controller per size.
+    """Retrain on a subset per size and simulate the GP controller on each.
 
-    Writes one row per size: points, per-joint tracking RMSE over the
-    evaluation window, and the median model-error prediction gap on the
-    probe grid.  Size 0 is the uncompensated computed-torque baseline by
+    Each size's subset is its own stratified draw from the training set,
+    independent of the other sizes' (the subsets are not nested).  Writes one
+    row per size: points, per-joint tracking RMSE over the evaluation window,
+    and the median over the probe set, built once, of ||gp_mean - true
+    residual||.  Size 0 is the uncompensated computed-torque baseline by
     construction.
     """
     sizes = list(sizes)
@@ -334,6 +326,7 @@ def run_learning_curve(scenario: Scenario, sizes, out_dir,
             f"requested size {sizes[-1]} exceeds the {train.size} available points"
         )
     subsample_seed = scenario.training_plan.seed if seed_override is None else seed_override
+    queries, true_resid = _probe_inputs(scenario)
     rows = []
     for size in sizes:
         subset = train.subsample(size, seed=subsample_seed)
@@ -347,7 +340,8 @@ def run_learning_curve(scenario: Scenario, sizes, out_dir,
         if result.diverged:
             raise DivergenceError(f"learning-curve run with {size} points diverged")
         rmse = result.rmse(scenario.t_skip)
-        probe = prediction_error_median(gp, scenario)
+        probe = float(np.median(np.linalg.norm(gp.predict_mean(queries) - true_resid,
+                                               axis=1)))
         rows.append((size, rmse, probe))
     path = os.path.join(out_dir, LEARNING_CURVE_CSV)
     manifest = manifest_lines(scenario, points_available=train.size,

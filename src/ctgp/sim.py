@@ -2,7 +2,7 @@
 seeded stochastic ensembles and a Lyapunov-function trace.
 
 One step loop, `_integrate`, serves three callers over a state with a
-leading batch shape: () for `simulate`, (runs,) for a share of
+leading batch shape: () for `simulate`, (runs,) for a share of a stochastic
 `run_ensemble` and (cells,) for the open-loop training grid, which drives it
 with a constant-torque policy and records nothing.  A single run stays unbatched
 because the model functions do not give the same bits at every batch shape
@@ -51,26 +51,29 @@ computing it there.
 A run records (steps + 1) x realizations rows; a SimConfig asking for more
 than MAX_RECORD_ROWS is rejected before anything is allocated.
 
-Ensembles give each realization its own generator, seeded base_seed + i.
-A run draws its Euler-Maruyama noise REFERENCE_BLOCK steps at a time, which
-is the sequence of one draw per step; a frozen run's unused draws are never
-read.  So results do not depend on scheduling, and rerunning a single
-realization reproduces its ensemble member.  In one process an ensemble is
-one lockstep batch.  When BLAS runs one thread per process and the host has
-cores to spare (`parallel`), it is cut into contiguous shares at multiples
-of ENSEMBLE_ALIGN runs, one lockstep batch per process.  A one-thread BLAS
-call computes each run in a tile of columns, and a cut on a tile edge leaves
-every run in a tile of the same width at the same offset, so the shares give
-every run the bits of the whole batch.  Every run records into one shared mapping, and the outcomes
-are merged in share order, so every result is the same at any process
-count.
+A law that is not stochastic draws no noise, so the realizations of its
+ensemble, all from rest, are one trajectory: `run_ensemble` integrates it
+once with `simulate`, gives it to every realization, reports std 0 exactly
+and forks nothing.  A stochastic ensemble gives each realization its own
+generator, seeded base_seed + i.  A run draws its Euler-Maruyama noise
+REFERENCE_BLOCK steps at a time, which is the sequence of one draw per step;
+a frozen run's unused draws are never read.  So results do not depend on
+scheduling, and rerunning a single realization reproduces its ensemble
+member.  In one process an ensemble is one lockstep batch.  When BLAS runs
+one thread per process and the host has cores to spare (`parallel`), it is
+cut into contiguous shares at multiples of ENSEMBLE_ALIGN runs, one lockstep
+batch per process.  A one-thread BLAS call computes each run in a tile of
+columns, and a cut on a tile edge leaves every run in a tile of the same
+width at the same offset, so the shares give every run the bits of the whole
+batch.  Every run records into one shared mapping, and the outcomes are
+merged in share order, so every result is the same at any process count.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -239,8 +242,6 @@ class SimResult:
     seed: int
     diverged: bool = False
     v: np.ndarray | None = None
-    lyapunov_ball_radius: float | None = None
-    lyapunov_indefinite: bool = False
 
     @property
     def n(self) -> int:
@@ -265,14 +266,13 @@ class SimResult:
 
 @dataclass
 class EnsembleStats:
-    """Per-step mean/std over completed realizations plus per-run RMSE."""
+    """Per-step mean/std over the completed distinct realizations."""
 
     t: np.ndarray
     mean_q: np.ndarray
     std_q: np.ndarray
     mean_qd: np.ndarray
     std_qd: np.ndarray
-    rmse: np.ndarray            # (runs, n), full-trace window, divergent rows NaN
     divergent_runs: list[int] = field(default_factory=list)
     realizations: int = 1
 
@@ -479,7 +479,8 @@ def simulate(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
     run_seed = config.base_seed if seed is None else seed
     *_, (result,) = _integrate(model, controller, ref, config, q, qd, [run_seed])
     if config.lyapunov_trace:
-        attach_lyapunov(result, model, controller.gains, config.lyapunov_epsilon)
+        result.v = lyapunov_trace(result, model, controller.gains,
+                                  config.lyapunov_epsilon).v
     return result
 
 
@@ -498,12 +499,16 @@ def run_ensemble(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
                  config: SimConfig) -> tuple[EnsembleStats, list[SimResult]]:
     """Integrate `realizations` runs from rest, seeds base_seed + i.
 
-    Each run draws from its own generator in step order, so a run
+    A law that is not stochastic draws no noise, so its runs are one
+    trajectory: `simulate` integrates it once, and every realization is that
+    run under its own seed, sharing its arrays.  The statistics are taken
+    over the one distinct run, so std is exactly 0 and mean_q is its q, and
+    nothing is forked.
+
+    A stochastic run draws from its own generator in step order, so it
     reproduces `simulate` with the same seed to floating round-off (BLAS
     batching), and divergence freezes a run without disturbing the others'
-    streams.
-
-    The runs are cut into `_shares`, one per process,
+    streams.  The stochastic runs are cut into `_shares`, one per process,
     P = parallel.process_count(ceil(realizations / ENSEMBLE_ALIGN)) with one
     BLAS thread per process and P = 1 otherwise, and each share is one
     lockstep batch of `_integrate`, run by `parallel.run_in_order`: at
@@ -522,43 +527,45 @@ def run_ensemble(model: ManipulatorModel, controller, ref: ReferenceTrajectory,
     """
     runs, n = config.realizations, model.n
     seeds = [config.base_seed + i for i in range(runs)]
-    records = _records((runs, config.steps + 1, n))
-    # a threaded BLAS call splits its columns by the call's width, so shares
-    # keep the bits of one batch only with one BLAS thread per process
-    processes = (parallel.process_count(-(-runs // ENSEMBLE_ALIGN))
-                 if parallel.blas_threads() == 1 else 1)
+    if getattr(controller, "mode", "deterministic") != "stochastic":
+        run = simulate(model, controller, ref, config)
+        results = [replace(run, seed=seed) for seed in seeds]
+        distinct = results[:1]
+    else:
+        records = _records((runs, config.steps + 1, n))
+        # a threaded BLAS call splits its columns by the call's width, so shares
+        # keep the bits of one batch only with one BLAS thread per process
+        processes = (parallel.process_count(-(-runs // ENSEMBLE_ALIGN))
+                     if parallel.blas_threads() == 1 else 1)
 
-    def share(part: range):
-        runs_p = slice(part.start, part.stop)
+        def share(part: range):
+            runs_p = slice(part.start, part.stop)
 
-        def job():
-            *_, done = _integrate(model, controller, ref, config, np.zeros((len(part), n)),
-                                  np.zeros((len(part), n)), seeds[runs_p],
-                                  {key: rec[runs_p] for key, rec in records.items()})
-            return [res.t.shape[0] for res in done]  # the rows each run kept
-        return job
+            def job():
+                *_, done = _integrate(model, controller, ref, config,
+                                      np.zeros((len(part), n)), np.zeros((len(part), n)),
+                                      seeds[runs_p],
+                                      {key: rec[runs_p] for key, rec in records.items()})
+                return [res.t.shape[0] for res in done]  # the rows each run kept
+            return job
 
-    kept = parallel.run_in_order([share(part) for part in _shares(runs, processes)],
-                                 "ensemble")
-    results = _runs(records, [rows for share_kept in kept for rows in share_kept], seeds,
-                    config)
+        kept = parallel.run_in_order([share(part) for part in _shares(runs, processes)],
+                                     "ensemble")
+        results = distinct = _runs(records, [rows for share_kept in kept
+                                             for rows in share_kept], seeds, config)
 
-    complete = [i for i, res in enumerate(results) if not res.diverged]
+    complete = [res for res in distinct if not res.diverged]
     if not complete:
         raise DivergenceError(f"all {runs} realizations diverged", results)
-    rmse = np.full((runs, n), np.nan)
-    for i in complete:
-        rmse[i] = results[i].rmse(0.0)
-    qc = np.stack([results[i].q for i in complete])
-    qdc = np.stack([results[i].qd for i in complete])
+    qc = np.stack([res.q for res in complete])
+    qdc = np.stack([res.qd for res in complete])
     ddof_ok = len(complete) >= 2
     stats = EnsembleStats(
-        t=results[complete[0]].t,
+        t=complete[0].t,
         mean_q=np.mean(qc, axis=0),
         std_q=np.std(qc, axis=0, ddof=1) if ddof_ok else np.zeros_like(qc[0]),
         mean_qd=np.mean(qdc, axis=0),
         std_qd=np.std(qdc, axis=0, ddof=1) if ddof_ok else np.zeros_like(qdc[0]),
-        rmse=rmse,
         divergent_runs=[i for i, res in enumerate(results) if res.diverged],
         realizations=runs,
     )
@@ -609,12 +616,3 @@ def lyapunov_trace(result: SimResult, model: ManipulatorModel, gains,
     valid = m < prefix
     radius = float(np.min(m[valid])) if np.any(valid) else float(m[0])
     return LyapunovTrace(v=v, ball_radius=radius, indefinite_warning=indefinite)
-
-
-def attach_lyapunov(result: SimResult, model: ManipulatorModel, gains,
-                    epsilon: float = 0.1) -> LyapunovTrace:
-    trace = lyapunov_trace(result, model, gains, epsilon)
-    result.v = trace.v
-    result.lyapunov_ball_radius = trace.ball_radius
-    result.lyapunov_indefinite = trace.indefinite_warning
-    return trace

@@ -214,6 +214,26 @@ def test_simulate_stochastic_ensemble(tmp_path):
     assert info["realizations"] == 3 and info["mode"] == "stochastic"
 
 
+def test_cli_deterministic_ensemble_writes_the_single_run_trajectory(tmp_path):
+    raw = _wing_raw()
+    raw["sim"]["duration"] = 0.5
+    cfg, out = _write_cfg(tmp_path, raw), tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    single = (out / "trajectory.csv").read_text().splitlines()
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--realizations", "3"]) == 0
+    triple = (out / "trajectory.csv").read_text().splitlines()
+    assert "realizations=1 " in single[0]
+    assert triple[0] == single[0].replace("realizations=1 ", "realizations=3 ")
+    assert triple[1:] == single[1:]
+    _, header, traj = read_result_csv(out / "trajectory.csv")
+    _, _, stats = read_result_csv(out / "ensemble.csv")
+    assert not np.any(stats[:, 2]) and not np.any(stats[:, 4])  # std_q_1, std_qd_1
+    assert np.array_equal(stats[:, 1], traj[:, header.index("q_1")])
+    assert np.array_equal(stats[:, 3], traj[:, header.index("qd_1")])
+
+
 def test_simulate_without_gp_skips_train_artifacts(tmp_path):
     raw = _wing_raw()
     del raw["training"]

@@ -198,8 +198,8 @@ def test_an_ensemble_whose_every_run_diverges_exits_3_at_any_process_count(
     forks.assert_reaped()
 
 
-def test_a_deterministic_ensemble_records_the_workers_deferred_std(pin_processes,
-                                                                   forks):
+def test_a_deterministic_ensemble_forks_nothing_and_records_the_deferred_std(
+        pin_processes, forks):
     model, ctl, ref = _wing_ensemble("deterministic")
     config = SimConfig(dt=1e-3, duration=0.1, realizations=REALIZATIONS)
     runs = []
@@ -210,7 +210,7 @@ def test_a_deterministic_ensemble_records_the_workers_deferred_std(pin_processes
         assert np.all(forked.gp_std > 0.0)
         for key in ("q", "qd", "tau", "gp_mean", "gp_std"):
             assert np.array_equal(getattr(forked, key), getattr(serial, key)), key
-    assert len(forks) == 2
+    assert len(forks) == 0
     forks.assert_reaped()
 
 
